@@ -8,8 +8,8 @@ outputs can be reproduced byte for byte (timings aside).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import os
 import sys
 import tempfile
 import time
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cayley import CayleyCache, smallest_modulus
+from .cayley import CayleyCache, smallest_modulus, write_atomic
 from .graphcore import (
     EdgeListParseError,
     emit_edge_list,
@@ -68,19 +68,6 @@ class _ParserExit(Exception):
         self.code = code
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit_manifest(args, command: str, outputs: list[str], seeds, started: float, extra=None):
     config = {
         k: v
@@ -93,14 +80,14 @@ def _emit_manifest(args, command: str, outputs: list[str], seeds, started: float
         "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()},
         "seeds": seeds,
         "outputs": outputs,
-        "wall_seconds": time.time() - started,
+        "wall_seconds": time.perf_counter() - started,
     }
     if extra:
         manifest.update(extra)
     path = args.manifest
     if path is None:
         path = f"{outputs[0]}.manifest.json" if outputs else "cayleyprop-manifest.json"
-    _write_atomic(Path(path), json.dumps(manifest, indent=2) + "\n")
+    write_atomic(Path(path), json.dumps(manifest, indent=2) + "\n")
     return manifest
 
 
@@ -117,7 +104,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_build_cayley(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if (args.n is None) == (args.nodes is None):
         raise UsageError("give exactly one of --n or --nodes")
     if args.n is not None:
@@ -132,7 +119,7 @@ def cmd_build_cayley(args) -> int:
     g = cache.graph(n)
     outputs = [str(cache.path_for(n))]
     if args.out:
-        _write_atomic(Path(args.out), emit_edge_list(g))
+        write_atomic(Path(args.out), emit_edge_list(g))
         outputs.append(args.out)
     print(
         f"modulus={n} nodes={g.node_count} edges={g.edge_count} "
@@ -143,7 +130,7 @@ def cmd_build_cayley(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if (args.graph is None) == (args.cayley is None):
         raise UsageError("give exactly one of a graph file or --cayley")
     if args.truncate is not None and args.cayley is None:
@@ -174,7 +161,7 @@ def cmd_analyze(args) -> int:
     report["source"] = source
     outputs = []
     if args.out:
-        _write_atomic(Path(args.out), json.dumps(report, indent=2) + "\n")
+        write_atomic(Path(args.out), json.dumps(report, indent=2) + "\n")
         outputs.append(args.out)
         _emit_manifest(args, "analyze", outputs, [], started)
     else:
@@ -184,12 +171,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if args.v_min < 2:
         raise UsageError("v-min must be >= 2")
     # an empty range (v-max < v-min) legitimately yields a header-only CSV
     rows = expansion_sweep(args.v_min, args.v_max, cache=CayleyCache(args.cache_dir))
-    _write_atomic(Path(args.out), sweep_to_csv(rows))
+    write_atomic(Path(args.out), sweep_to_csv(rows))
     outputs = [args.out]
     if args.plot:
         _plot_sweep(rows, args.plot)
@@ -200,7 +187,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_rewire(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     manifest_path = Path(args.dataset)
     if not manifest_path.is_file():
         raise InputError(f"no such manifest: {manifest_path}")
@@ -237,7 +224,7 @@ def cmd_rewire(args) -> int:
         "graphs": results,
         "failures": failures,
     }
-    _write_atomic(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
+    write_atomic(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     total_virtual = sum(r["virtual_nodes"] for r in results)
     print(
         f"exported {len(results)}/{len(entries)} graphs to {out_dir} "
@@ -250,7 +237,7 @@ def cmd_rewire(args) -> int:
 
 
 def cmd_train(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     structures = [s.strip() for s in args.structures.split(",") if s.strip()]
     for s in structures:
         if s not in SUM_TASK_STRUCTURES:
@@ -289,9 +276,9 @@ def cmd_train(args) -> int:
                     )
                 else:
                     all_rows.append(row)
-    _write_atomic(Path(args.out), curve_to_csv(all_rows))
+    write_atomic(Path(args.out), curve_to_csv(all_rows))
     agg_path = Path(args.out).with_suffix(".agg.csv")
-    _write_atomic(agg_path, _aggregate_curve_csv(all_rows))
+    write_atomic(agg_path, _aggregate_curve_csv(all_rows))
     outputs = [args.out, str(agg_path)]
     if args.plot:
         _plot_curves(all_rows, args.plot)
@@ -323,31 +310,32 @@ def _aggregate_curve_csv(rows) -> str:
 
 
 def cmd_bench(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     sizes = _int_list(args.sizes) if args.sizes else list(BENCH_DEFAULT_SIZES)
     sizes = [n for n in sizes if n <= args.n_max]
     if args.n_max > BENCH_MAX_NODES:
         raise UsageError(f"--n-max is capped at {BENCH_MAX_NODES}")
     if not sizes:
         raise UsageError("no benchmark sizes at or below --n-max")
-    if args.cold:
-        tmp = tempfile.mkdtemp(prefix="cayleyprop-bench-")
-        cache = CayleyCache(tmp)
-    else:
-        cache = CayleyCache(args.cache_dir)
     lines = ["n,seconds"]
-    for n in sizes:
-        p = 5.0 * np.log(n) / n if n > 1 else 0.0
-        g = gen_graph("ER", n, args.seed, p=min(p, 1.0))
-        t0 = time.perf_counter()
-        plan = build_plan(g, "CGP", args.layers, cache=cache)
-        elapsed = time.perf_counter() - t0
-        lines.append(f"{n},{elapsed:.6f}")
-        print(
-            f"n={n} |V(Cay)|={plan.extended_count} virtual={plan.virtual_count} "
-            f"seconds={elapsed:.4f}"
-        )
-    _write_atomic(Path(args.out), "\n".join(lines) + "\n")
+    with (
+        tempfile.TemporaryDirectory(prefix="cayleyprop-bench-")
+        if args.cold
+        else contextlib.nullcontext(args.cache_dir)
+    ) as cache_dir:
+        cache = CayleyCache(cache_dir)
+        for n in sizes:
+            p = 5.0 * np.log(n) / n if n > 1 else 0.0
+            g = gen_graph("ER", n, args.seed, p=min(p, 1.0))
+            t0 = time.perf_counter()
+            plan = build_plan(g, "CGP", args.layers, cache=cache)
+            elapsed = time.perf_counter() - t0
+            lines.append(f"{n},{elapsed:.6f}")
+            print(
+                f"n={n} |V(Cay)|={plan.extended_count} virtual={plan.virtual_count} "
+                f"seconds={elapsed:.4f}"
+            )
+    write_atomic(Path(args.out), "\n".join(lines) + "\n")
     _emit_manifest(args, "bench", [args.out], [args.seed], started)
     return EXIT_OK
 

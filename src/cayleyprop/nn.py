@@ -10,7 +10,7 @@ exact gradient checks matter more than large-scale training tricks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,8 +45,16 @@ class TrainingDiverged(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+class _LayerParams:
+    """The fields of a layer's parameter dataclass are its arrays."""
+
+    def arrays(self):
+        for f in fields(self):
+            yield f.name, getattr(self, f.name)
+
+
 @dataclass
-class GINLayerParams:
+class GINLayerParams(_LayerParams):
     """(1 + eps) * x_u + neighbor sum, followed by a 2-layer ReLU MLP."""
 
     eps: np.ndarray  # 0-d
@@ -57,26 +65,15 @@ class GINLayerParams:
 
     kind = "gin"
 
-    def arrays(self):
-        yield "eps", self.eps
-        yield "w1", self.w1
-        yield "b1", self.b1
-        yield "w2", self.w2
-        yield "b2", self.b2
-
 
 @dataclass
-class GCNLayerParams:
+class GCNLayerParams(_LayerParams):
     """ReLU(D^{-1/2} (A + I) D^{-1/2} X W + b)."""
 
     w: np.ndarray
     b: np.ndarray
 
     kind = "gcn"
-
-    def arrays(self):
-        yield "w", self.w
-        yield "b", self.b
 
 
 @dataclass
@@ -153,79 +150,65 @@ def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _gin_aggregation(g: UGraph) -> np.ndarray:
-    # A flagged self-loop contributes the node's own features once.
-    return g.adjacency_matrix(include_self_loops=True)
-
-
-def _gcn_propagation(g: UGraph) -> np.ndarray:
+def _layer_operator(g: UGraph, kind: str) -> np.ndarray:
+    if kind == "gin":
+        # A flagged self-loop contributes the node's own features once.
+        return g.adjacency_matrix(include_self_loops=True)
     a_hat = g.adjacency_matrix() + np.eye(g.node_count)
     inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def gin_layer(x: np.ndarray, g: UGraph, p: GINLayerParams) -> np.ndarray:
-    out, _ = _gin_forward(x, _gin_aggregation(g), p)
+def layer_forward(x: np.ndarray, g: UGraph, p) -> np.ndarray:
+    """One GIN or GCN layer (as p.kind says) over the graph g."""
+    out, _ = _layer_forward(x, _layer_operator(g, p.kind), p)
     return out
 
 
-def gcn_layer(x: np.ndarray, g: UGraph, p: GCNLayerParams) -> np.ndarray:
-    out, _ = _gcn_forward(x, _gcn_propagation(g), p)
-    return out
-
-
-def _gin_forward(x, agg_matrix, p: GINLayerParams):
-    if x.shape[0] != agg_matrix.shape[0]:
+def _layer_forward(x, op, p):
+    """Layer output and the cache for _layer_backward; the cache always ends
+    with the ReLU pre-activation."""
+    if x.shape[0] != op.shape[0]:
         raise ValueError(
-            f"feature rows {x.shape[0]} do not match graph nodes {agg_matrix.shape[0]}"
+            f"feature rows {x.shape[0]} do not match graph nodes {op.shape[0]}"
         )
-    z = (1.0 + float(p.eps)) * x + agg_matrix @ x
-    pre = z @ p.w1 + p.b1
-    h = np.maximum(pre, 0.0)
-    out = h @ p.w2 + p.b2
-    return out, (x, z, pre, h)
-
-
-def _gin_backward(dout, cache, agg_matrix, p: GINLayerParams):
-    x, z, pre, h = cache
-    grads = {
-        "w2": h.T @ dout,
-        "b2": dout.sum(axis=0),
-    }
-    dh = dout @ p.w2.T
-    dpre = dh * (pre > 0.0)
-    grads["w1"] = z.T @ dpre
-    grads["b1"] = dpre.sum(axis=0)
-    dz = dpre @ p.w1.T
-    grads["eps"] = np.asarray((dz * x).sum())
-    dx = (1.0 + float(p.eps)) * dz + agg_matrix @ dz  # agg is symmetric
-    return grads, dx
-
-
-def _gcn_forward(x, prop_matrix, p: GCNLayerParams):
-    if x.shape[0] != prop_matrix.shape[0]:
-        raise ValueError(
-            f"feature rows {x.shape[0]} do not match graph nodes {prop_matrix.shape[0]}"
-        )
-    sx = prop_matrix @ x
+    if p.kind == "gin":
+        z = (1.0 + float(p.eps)) * x + op @ x
+        pre = z @ p.w1 + p.b1
+        h = np.maximum(pre, 0.0)
+        out = h @ p.w2 + p.b2
+        return out, (x, z, h, pre)
+    sx = op @ x
     pre = sx @ p.w + p.b
     out = np.maximum(pre, 0.0)
     return out, (sx, pre)
 
 
-def _gcn_backward(dout, cache, prop_matrix, p: GCNLayerParams):
+def _layer_backward(dout, cache, op, p):
+    """Parameter gradients and the input gradient; op is symmetric, so it
+    is its own transpose."""
+    if p.kind == "gin":
+        x, z, h, pre = cache
+        grads = {
+            "w2": h.T @ dout,
+            "b2": dout.sum(axis=0),
+        }
+        dh = dout @ p.w2.T
+        dpre = dh * (pre > 0.0)
+        grads["w1"] = z.T @ dpre
+        grads["b1"] = dpre.sum(axis=0)
+        dz = dpre @ p.w1.T
+        grads["eps"] = np.asarray((dz * x).sum())
+        dx = (1.0 + float(p.eps)) * dz + op @ dz
+        return grads, dx
     sx, pre = cache
     dpre = dout * (pre > 0.0)
     grads = {
         "w": sx.T @ dpre,
         "b": dpre.sum(axis=0),
     }
-    dx = prop_matrix @ (dpre @ p.w.T)  # prop is symmetric
+    dx = op @ (dpre @ p.w.T)
     return grads, dx
-
-
-def _layer_operator(g: UGraph, kind: str) -> np.ndarray:
-    return _gin_aggregation(g) if kind == "gin" else _gcn_propagation(g)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +248,8 @@ def _forward_cached(plan: PropagationPlan, params: ModelParams, x: np.ndarray):
     caches = []
     for layer, g in zip(params.layers, plan.layer_graphs):
         op = _layer_operator(g, layer.kind)
-        if layer.kind == "gin":
-            h_next, cache = _gin_forward(h, op, layer)
-        else:
-            h_next, cache = _gcn_forward(h, op, layer)
+        h, cache = _layer_forward(h, op, layer)
         caches.append((layer, op, cache))
-        h = h_next
     z = readout(plan, params, h)
     return h, z, caches
 
@@ -284,10 +263,7 @@ def _backward(plan: PropagationPlan, params: ModelParams, caches, h_final, dz):
     dh[: plan.original_count] = params.readout_w * dz
     for i in range(len(caches) - 1, -1, -1):
         layer, op, cache = caches[i]
-        if layer.kind == "gin":
-            layer_grads, dh = _gin_backward(dh, cache, op, layer)
-        else:
-            layer_grads, dh = _gcn_backward(dh, cache, op, layer)
+        layer_grads, dh = _layer_backward(dh, cache, op, layer)
         for name, g in layer_grads.items():
             grads[f"layers.{i}.{layer.kind}.{name}"] = g
     return grads, dh  # dh is the gradient w.r.t. the extended features
@@ -302,9 +278,8 @@ def relu_kink_margin(plan: PropagationPlan, params: ModelParams, x: np.ndarray) 
     """
     _, _, caches = _forward_cached(plan, params, x)
     margin = math.inf
-    for layer, _, cache in caches:
-        pre = cache[2] if layer.kind == "gin" else cache[1]
-        margin = min(margin, float(np.abs(pre).min()))
+    for _, _, cache in caches:
+        margin = min(margin, float(np.abs(cache[-1]).min()))
     return margin
 
 
@@ -625,15 +600,6 @@ def curve_to_csv(rows: list[CurveRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def base_plan_builder(num_layers: int = 1):
-    """Plan builder for propagation over the sample's own graph."""
-
-    def builder(g: UGraph) -> PropagationPlan:
-        return build_plan(g, "Base", num_layers)
-
-    return builder
-
-
 def scheme_plan_builder(scheme: str, num_layers: int, cache: CayleyCache | None = None):
     def builder(g: UGraph) -> PropagationPlan:
         return build_plan(g, scheme, num_layers, cache=cache)
@@ -663,21 +629,8 @@ def params_from_json_obj(obj: list[dict]) -> ModelParams:
     layers = []
     i = 0
     while any(name.startswith(f"layers.{i}.") for name in tensors):
-        if f"layers.{i}.gin.w1" in tensors:
-            layers.append(
-                GINLayerParams(
-                    eps=tensors[f"layers.{i}.gin.eps"],
-                    w1=tensors[f"layers.{i}.gin.w1"],
-                    b1=tensors[f"layers.{i}.gin.b1"],
-                    w2=tensors[f"layers.{i}.gin.w2"],
-                    b2=tensors[f"layers.{i}.gin.b2"],
-                )
-            )
-        else:
-            layers.append(
-                GCNLayerParams(
-                    w=tensors[f"layers.{i}.gcn.w"], b=tensors[f"layers.{i}.gcn.b"]
-                )
-            )
+        cls = GINLayerParams if f"layers.{i}.gin.w1" in tensors else GCNLayerParams
+        prefix = f"layers.{i}.{cls.kind}."
+        layers.append(cls(**{f.name: tensors[prefix + f.name] for f in fields(cls)}))
         i += 1
     return ModelParams(layers, tensors["readout.w"], tensors["readout.b"])

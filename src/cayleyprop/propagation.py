@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +50,12 @@ _SEED_TAG_VIRTUAL = 0x56495254
 
 @dataclass(frozen=True)
 class PropagationPlan:
-    """Per-layer adjacency schedule plus virtual-node bookkeeping.
+    """Per-layer schedule over the templates plus virtual-node bookkeeping.
 
     input_template is the graph used on input-side layers (the raw input,
     its extension, or the master-node augmentation); cayley_template is the
-    complete or truncated Cayley graph for schemes that use one.
+    complete or truncated Cayley graph for schemes that use one. layer_kinds
+    names the template of each layer, and layer_graphs follows from it.
     """
 
     scheme: str
@@ -61,23 +63,35 @@ class PropagationPlan:
     extended_count: int
     modulus: int | None
     layer_kinds: tuple[str, ...]
-    layer_graphs: tuple[UGraph, ...]
     input_template: UGraph
     cayley_template: UGraph | None = None
     virtual_init: str = "zeros"
     virtual_seed: int = 0
 
     def __post_init__(self) -> None:
-        for g in self.layer_graphs:
-            if g.node_count != self.extended_count:
+        for g in (self.input_template, self.cayley_template):
+            if g is not None and g.node_count != self.extended_count:
                 raise ValueError(
-                    f"layer graph has {g.node_count} nodes, plan expects "
+                    f"template graph has {g.node_count} nodes, plan expects "
                     f"{self.extended_count}"
                 )
 
+    @cached_property
+    def layer_graphs(self) -> tuple[UGraph, ...]:
+        """The graph each layer propagates over, one per layer kind."""
+        templates = {
+            LAYER_INPUT: self.input_template,
+            LAYER_INPUT_EXTENDED: self.input_template,
+            LAYER_MASTER: self.input_template,
+            LAYER_CAYLEY: self.cayley_template,
+        }
+        if LAYER_FULLY_ADJACENT in self.layer_kinds:
+            templates[LAYER_FULLY_ADJACENT] = complete_graph(self.extended_count)
+        return tuple(templates[kind] for kind in self.layer_kinds)
+
     @property
     def num_layers(self) -> int:
-        return len(self.layer_graphs)
+        return len(self.layer_kinds)
 
     @property
     def virtual_count(self) -> int:
@@ -153,56 +167,41 @@ def build_plan(
     modulus: int | None = None
     cayley: UGraph | None = None
     if scheme == "Base":
-        m = v
         input_template = g
         kinds = (LAYER_INPUT,) * num_layers
-        graphs = (g,) * num_layers
     elif scheme == "MasterNode":
-        m = v + 1
         input_template = master_node_graph(g)
         kinds = (LAYER_MASTER,) * num_layers
-        graphs = (input_template,) * num_layers
     elif scheme == "FALast":
-        m = v
         input_template = g
-        fa = complete_graph(v)
         kinds = (LAYER_INPUT,) * (num_layers - 1) + (LAYER_FULLY_ADJACENT,)
-        graphs = (g,) * (num_layers - 1) + (fa,)
     else:
         cache = cache or CayleyCache()
         modulus = smallest_modulus(v)
         cayley_full = cache.graph(modulus, budget=budget)
         if scheme == "EGP":
-            m = v
             input_kind = LAYER_INPUT
             input_template = g
             cayley = induced_prefix_subgraph(cayley_full, v)
         else:
-            m = cayley_full.node_count
             input_kind = LAYER_INPUT_EXTENDED
-            input_template = extend_input_adjacency(g, m)
+            input_template = extend_input_adjacency(g, cayley_full.node_count)
             cayley = cayley_full
         if scheme == "CGPEvery":
             kinds = (LAYER_CAYLEY,) * num_layers
-            graphs = (cayley,) * num_layers
         elif scheme == "CGPLast":
             kinds = (input_kind,) * (num_layers - 1) + (LAYER_CAYLEY,)
-            graphs = (input_template,) * (num_layers - 1) + (cayley,)
         else:  # EGP and CGP alternate, starting on the input side
             kinds = tuple(
                 input_kind if i % 2 == 0 else LAYER_CAYLEY for i in range(num_layers)
-            )
-            graphs = tuple(
-                input_template if i % 2 == 0 else cayley for i in range(num_layers)
             )
 
     return PropagationPlan(
         scheme=scheme,
         original_count=v,
-        extended_count=m,
+        extended_count=input_template.node_count,
         modulus=modulus,
         layer_kinds=kinds,
-        layer_graphs=graphs,
         input_template=input_template,
         cayley_template=cayley,
         virtual_init=virtual_init,

@@ -6,6 +6,7 @@ both carry explicit wall-clock budgets that are asserted, not just hoped
 for.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -15,24 +16,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cayleyprop.cayley import CayleyCache, build_cayley, truncate_bfs
+from cayleyprop.cayley import CayleyCache, build_cayley
 from cayleyprop.graphcore import (
     UGraph,
     d_pattern_levels,
     disjoint_union,
     gen_graph,
+    induced_prefix_subgraph,
     relabel_nodes,
 )
 from cayleyprop.modgroup import enumerate_sl2_bruteforce, sl2_order
 from cayleyprop.nn import (
     TrainConfig,
-    base_plan_builder,
     gen_sum_task,
     init_params,
     model_forward,
     readout,
     relu_kink_margin,
     sample_gradients,
+    scheme_plan_builder,
     train,
 )
 from cayleyprop.nn import _forward_cached, _loss_and_dz
@@ -203,7 +205,7 @@ def test_criterion_6_d_patterns(cache):
             cg = build_cayley(n)
             total = cg.graph.node_count
             for v in range(3, total):
-                truncated = truncate_bfs(cg, v)
+                truncated = induced_prefix_subgraph(cg.graph, v)
                 ids = set(d_pattern_levels(truncated, [0] * v, 1)[1])
                 if n == 3 and v == 3:
                     assert truncated.edge_count == 3  # the closed triangle
@@ -305,15 +307,10 @@ def test_criterion_8_structural_contracts(cache):
         assert zbp == pytest.approx(zb, abs=1e-9)
 
         ext_perm = perm + list(range(20, plan.extended_count))
-        permuted_plan = plan.__class__(
-            **{
-                **plan.__dict__,
-                "layer_graphs": tuple(
-                    relabel_nodes(lg, ext_perm) for lg in plan.layer_graphs
-                ),
-                "input_template": relabel_nodes(plan.input_template, ext_perm),
-                "cayley_template": relabel_nodes(plan.cayley_template, ext_perm),
-            }
+        permuted_plan = dataclasses.replace(
+            plan,
+            input_template=relabel_nodes(plan.input_template, ext_perm),
+            cayley_template=relabel_nodes(plan.cayley_template, ext_perm),
         )
         hp, zp = model_forward(permuted_plan, params20, x20[inv])
         np.testing.assert_allclose(hp[ext_perm], h, atol=1e-11)
@@ -347,7 +344,7 @@ def test_criterion_9_sum_task(cache):
                     layer_kind=cfg["layer_kind"],
                     train_sizes=tuple(cfg["train_sizes"]),
                 )
-                for row in train(base_plan_builder(cfg["num_layers"]), dataset, config):
+                for row in train(scheme_plan_builder("Base", cfg["num_layers"]), dataset, config):
                     assert not row.failed
                     results[structure][row.train_size].append(row.test_error)
                     train_errors[structure].append(row.train_error)

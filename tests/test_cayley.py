@@ -6,9 +6,8 @@ from cayleyprop.cayley import (
     CayleyCache,
     build_cayley,
     smallest_modulus,
-    truncate_bfs,
 )
-from cayleyprop.graphcore import emit_edge_list
+from cayleyprop.graphcore import emit_edge_list, induced_prefix_subgraph
 from cayleyprop.modgroup import Mat2Z, sl2_order
 from cayleyprop.spectral import analyze
 
@@ -76,17 +75,17 @@ class TestSmallestModulus:
 class TestTruncate:
     def test_full_size_is_identity(self):
         cg = build_cayley(3)
-        assert truncate_bfs(cg, 24) == cg.graph
+        assert induced_prefix_subgraph(cg.graph, 24) == cg.graph
 
     def test_single_vertex(self):
-        g = truncate_bfs(build_cayley(3), 1)
+        g = induced_prefix_subgraph(build_cayley(3).graph, 1)
         assert g.node_count == 1 and g.edge_count == 0
 
     def test_never_adds_edges(self):
         cg = build_cayley(4)
         full = set(cg.graph.edges)
         for v in (5, 17, 30, 47):
-            sub = truncate_bfs(cg, v)
+            sub = induced_prefix_subgraph(cg.graph, v)
             assert set(sub.edges) <= full
             assert all(max(e) < v for e in sub.edges)
 
@@ -94,20 +93,20 @@ class TestTruncate:
         # every BFS vertex keeps its discovery parent
         cg = build_cayley(3)
         for v in range(2, 24):
-            assert truncate_bfs(cg, v).is_connected()
+            assert induced_prefix_subgraph(cg.graph, v).is_connected()
 
     def test_truncated_gap_below_complete(self):
         cg = build_cayley(3)
-        truncated = analyze(truncate_bfs(cg, 12))
+        truncated = analyze(induced_prefix_subgraph(cg.graph, 12))
         complete = analyze(cg.graph)
         assert truncated.spectral_gap < complete.spectral_gap
 
     def test_range_validation(self):
         cg = build_cayley(2)
         with pytest.raises(ValueError):
-            truncate_bfs(cg, 0)
+            induced_prefix_subgraph(cg.graph, 0)
         with pytest.raises(ValueError):
-            truncate_bfs(cg, 7)
+            induced_prefix_subgraph(cg.graph, 7)
 
 
 class TestCache:
@@ -129,6 +128,12 @@ class TestCache:
         cache = CayleyCache()
         cache.graph(2)
         assert (tmp_path / "envcache" / "cayley-n2-v6.edgelist").is_file()
+
+    def test_irregular_cache_file_rejected(self, tmp_path):
+        # right node count, wrong edges: must not pass for Cay(SL(2, Z_5))
+        (tmp_path / "cayley-n5-v120.edgelist").write_text("120\n0 1\n")
+        with pytest.raises(ValueError, match="corrupt cache file"):
+            CayleyCache(tmp_path).graph(5)
 
     def test_cached_fetch_strictly_faster_than_cold_build(self, tmp_path):
         import time

@@ -1,4 +1,5 @@
 import json
+import tempfile
 
 import pytest
 
@@ -77,6 +78,25 @@ class TestBuildCayley:
         assert g.node_count == 24
         manifest = json.loads((tmp_path / "m.json").read_text())
         assert manifest["command"] == "build-cayley"
+
+    def test_irregular_cache_file_is_runtime_error(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "cayley-n5-v120.edgelist").write_text("120\n0 1\n")
+        code, _, err = run(
+            [
+                "build-cayley",
+                "--n",
+                "5",
+                "--cache-dir",
+                str(cache),
+                "--manifest",
+                str(tmp_path / "m.json"),
+            ],
+            capsys,
+        )
+        assert code == 3
+        assert "corrupt cache file" in err
 
     def test_by_target_nodes(self, capsys, cache_dir, tmp_path):
         code, out, _ = run(
@@ -441,6 +461,26 @@ class TestBench:
         )
         assert code == 0
         assert len((tmp_path / "b.csv").read_text().strip().split("\n")) == 2
+
+    def test_cold_cache_directory_removed(self, capsys, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        code, _, _ = run(
+            [
+                "bench",
+                "--sizes",
+                "50",
+                "--cold",
+                "--out",
+                str(tmp_path / "b.csv"),
+                "--manifest",
+                str(tmp_path / "m.json"),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert list(scratch.glob("cayleyprop-bench-*")) == []
 
     def test_ceiling_guard(self, capsys, cache_dir, tmp_path):
         code, _, _ = run(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -13,12 +14,10 @@ from cayleyprop.nn import (
     TrainConfig,
     TrainingDiverged,
     adam_step,
-    base_plan_builder,
     curve_to_csv,
-    gcn_layer,
     gen_sum_task,
-    gin_layer,
     init_params,
+    layer_forward,
     loss_and_grads,
     model_forward,
     params_from_json_obj,
@@ -26,6 +25,7 @@ from cayleyprop.nn import (
     readout,
     relu_kink_margin,
     sample_gradients,
+    scheme_plan_builder,
     train,
 )
 from cayleyprop.nn import GCNLayerParams, _forward_cached, _loss_and_dz
@@ -82,14 +82,14 @@ class TestGinLayer:
     def test_star_center_sums_neighbors(self):
         g = star_graph(4)
         x = np.ones((4, 1))
-        out = gin_layer(x, g, identity_gin(1))
+        out = layer_forward(x, g, identity_gin(1))
         assert out[0, 0] == pytest.approx(4.0)  # own + three leaves
         assert out[1, 0] == pytest.approx(2.0)
 
     def test_empty_graph_identity(self):
         g = UGraph(3)
         x = np.abs(np.random.default_rng(0).standard_normal((3, 2)))
-        assert np.allclose(gin_layer(x, g, identity_gin(2)), x)
+        assert np.allclose(layer_forward(x, g, identity_gin(2)), x)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(5)
@@ -104,32 +104,32 @@ class TestGinLayer:
             )
             x = rng.standard_normal((n, 3))
             np.testing.assert_allclose(
-                gin_layer(x, g, p), gin_loop_oracle(x, g, p), atol=1e-12
+                layer_forward(x, g, p), gin_loop_oracle(x, g, p), atol=1e-12
             )
 
     def test_self_loop_counts_once(self):
         g = UGraph(2, [], self_loops=[0])
         x = np.array([[1.0], [1.0]])
-        out = gin_layer(x, g, identity_gin(1))
+        out = layer_forward(x, g, identity_gin(1))
         assert out[0, 0] == pytest.approx(2.0)
         assert out[1, 0] == pytest.approx(1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            gin_layer(np.ones((3, 2)), UGraph(2), identity_gin(2))
+            layer_forward(np.ones((3, 2)), UGraph(2), identity_gin(2))
 
 
 class TestGcnLayer:
     def test_single_node_no_edges(self):
         p = GCNLayerParams(w=np.eye(2), b=np.zeros(2))
         x = np.array([[0.5, -0.5]])
-        np.testing.assert_allclose(gcn_layer(x, UGraph(1), p), [[0.5, 0.0]])
+        np.testing.assert_allclose(layer_forward(x, UGraph(1), p), [[0.5, 0.0]])
 
     def test_two_node_symmetric_average(self):
         g = UGraph(2, [(0, 1)])
         p = GCNLayerParams(w=np.eye(2), b=np.zeros(2))
         x = np.array([[1.0, 0.0], [0.0, 0.0]])
-        out = gcn_layer(x, g, p)
+        out = layer_forward(x, g, p)
         np.testing.assert_allclose(out, [[0.5, 0.0], [0.5, 0.0]])
 
     def test_matches_loop_oracle(self):
@@ -141,7 +141,7 @@ class TestGcnLayer:
             )
             x = rng.standard_normal((n, 3))
             np.testing.assert_allclose(
-                gcn_layer(x, g, p), gcn_loop_oracle(x, g, p), atol=1e-12
+                layer_forward(x, g, p), gcn_loop_oracle(x, g, p), atol=1e-12
             )
 
     def test_flagged_self_loop_not_double_counted(self):
@@ -149,7 +149,7 @@ class TestGcnLayer:
         looped = UGraph(2, [(0, 1)], self_loops=[0])
         p = GCNLayerParams(w=np.eye(1), b=np.zeros(1))
         x = np.array([[1.0], [2.0]])
-        np.testing.assert_allclose(gcn_layer(x, plain, p), gcn_layer(x, looped, p))
+        np.testing.assert_allclose(layer_forward(x, plain, p), layer_forward(x, looped, p))
 
 
 class TestModelForward:
@@ -230,15 +230,10 @@ class TestModelForward:
         permuted_plan = build_plan(
             relabel_nodes(g, perm), "CGP", 2, cache=cache
         )
-        permuted_plan = permuted_plan.__class__(
-            **{
-                **permuted_plan.__dict__,
-                "layer_graphs": tuple(
-                    relabel_nodes(lg, ext_perm) for lg in plan.layer_graphs
-                ),
-                "input_template": relabel_nodes(plan.input_template, ext_perm),
-                "cayley_template": relabel_nodes(plan.cayley_template, ext_perm),
-            }
+        permuted_plan = dataclasses.replace(
+            permuted_plan,
+            input_template=relabel_nodes(plan.input_template, ext_perm),
+            cayley_template=relabel_nodes(plan.cayley_template, ext_perm),
         )
         h, z = model_forward(plan, params, x)
         hp, zp = model_forward(permuted_plan, params, x[np.argsort(perm)])
@@ -418,7 +413,7 @@ class TestTrain:
         config = TrainConfig(
             seed=0, epochs=30, hidden_dim=16, batch_size=16, train_sizes=(20, 60)
         )
-        rows = train(base_plan_builder(1), ds, config)
+        rows = train(scheme_plan_builder("Base", 1), ds, config)
         assert [r.train_size for r in rows] == [20, 60]
         assert all(not r.failed for r in rows)
         # over-parameterized model fits its training set
@@ -430,15 +425,15 @@ class TestTrain:
     def test_reproducible(self):
         ds = gen_sum_task("GNP", 30, seed=1, test_size=10)
         config = TrainConfig(seed=1, epochs=5, hidden_dim=8, train_sizes=(30,))
-        a = train(base_plan_builder(1), ds, config)
-        b = train(base_plan_builder(1), ds, config)
+        a = train(scheme_plan_builder("Base", 1), ds, config)
+        b = train(scheme_plan_builder("Base", 1), ds, config)
         assert a == b
 
     def test_size_over_pool_rejected(self):
         ds = gen_sum_task("Empty", 10, seed=0, test_size=5)
         config = TrainConfig(train_sizes=(20,))
         with pytest.raises(ValueError):
-            train(base_plan_builder(1), ds, config)
+            train(scheme_plan_builder("Base", 1), ds, config)
 
 
 class TestCheckpoint:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from cayleyprop.graphcore import UGraph, gen_graph, parse_edge_list
 from cayleyprop.modgroup import sl2_order
 from cayleyprop.propagation import (
     SCHEMES,
+    PropagationPlan,
     build_plan,
     export_plan,
     extend_features,
@@ -146,6 +148,21 @@ class TestBuildPlan:
             plan = build_plan(g, scheme, 3, cache=cache)
             for lg in plan.layer_graphs:
                 assert lg.node_count == plan.extended_count
+
+    def test_template_size_must_match_extended_count(self):
+        g = UGraph(3, [(0, 1)])
+        with pytest.raises(ValueError, match="template graph has 3 nodes"):
+            PropagationPlan(
+                scheme="Base",
+                original_count=3,
+                extended_count=4,
+                modulus=None,
+                layer_kinds=("input",),
+                input_template=g,
+            )
+        plan = build_plan(g, "Base", 1)
+        with pytest.raises(ValueError, match="template graph has 4 nodes"):
+            dataclasses.replace(plan, cayley_template=UGraph(4))
 
     def test_invalid_inputs(self, cache):
         g = UGraph(3, [(0, 1)])
