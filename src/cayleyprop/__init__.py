@@ -1,105 +1,3 @@
 """Cayley graph computational templates and bottleneck diagnostics."""
 
 __version__ = "0.1.0"
-
-from .cayley import (
-    CayleyCache,
-    CayleyGraph,
-    build_cayley,
-    smallest_modulus,
-)
-from .graphcore import (
-    EdgeListParseError,
-    UGraph,
-    d_pattern_levels,
-    d_patterns,
-    disjoint_union,
-    emit_edge_list,
-    gen_graph,
-    parse_edge_list,
-    relabel_nodes,
-)
-from .modgroup import (
-    Mat2Z,
-    enumerate_sl2_bruteforce,
-    generators,
-    mat_mul,
-    sl2_order,
-)
-from .nn import (
-    AdamState,
-    ModelParams,
-    SumTaskDataset,
-    TrainConfig,
-    TrainingDiverged,
-    adam_step,
-    gen_sum_task,
-    init_params,
-    layer_forward,
-    loss_and_grads,
-    model_forward,
-    train,
-)
-from .propagation import (
-    PropagationPlan,
-    build_plan,
-    export_plan,
-    extend_features,
-    extend_input_adjacency,
-)
-from .spectral import (
-    SpectralReport,
-    analyze,
-    cheeger_constant_bruteforce,
-    dirichlet_energy,
-    effective_resistance_pair,
-    eig_sym,
-    expansion_sweep,
-    laplacian,
-)
-
-__all__ = [
-    "AdamState",
-    "CayleyCache",
-    "CayleyGraph",
-    "EdgeListParseError",
-    "Mat2Z",
-    "ModelParams",
-    "PropagationPlan",
-    "SpectralReport",
-    "SumTaskDataset",
-    "TrainConfig",
-    "TrainingDiverged",
-    "UGraph",
-    "adam_step",
-    "analyze",
-    "build_cayley",
-    "build_plan",
-    "cheeger_constant_bruteforce",
-    "d_pattern_levels",
-    "d_patterns",
-    "dirichlet_energy",
-    "disjoint_union",
-    "effective_resistance_pair",
-    "eig_sym",
-    "emit_edge_list",
-    "enumerate_sl2_bruteforce",
-    "expansion_sweep",
-    "export_plan",
-    "extend_features",
-    "extend_input_adjacency",
-    "gen_graph",
-    "gen_sum_task",
-    "generators",
-    "init_params",
-    "laplacian",
-    "layer_forward",
-    "loss_and_grads",
-    "mat_mul",
-    "model_forward",
-    "parse_edge_list",
-    "relabel_nodes",
-    "sl2_order",
-    "smallest_modulus",
-    "train",
-]

@@ -58,8 +58,7 @@ def build_cayley(n: int, budget: int = DEFAULT_VERTEX_BUDGET) -> CayleyGraph:
                 index[y] = iy
                 vertices.append(y)
                 queue.append(y)
-            if ix != iy:  # defensive: x*s == x cannot happen for S_n
-                edges.add((ix, iy) if ix < iy else (iy, ix))
+            edges.add((ix, iy) if ix < iy else (iy, ix))
     if len(vertices) != order:
         raise RuntimeError(
             f"BFS reached {len(vertices)} elements, expected {order}; "
@@ -121,7 +120,7 @@ class CayleyCache:
     def path_for(self, n: int) -> Path:
         return self.directory / f"cayley-n{n}-v{sl2_order(n)}.edgelist"
 
-    def graph(self, n: int, budget: int = DEFAULT_VERTEX_BUDGET) -> UGraph:
+    def graph(self, n: int) -> UGraph:
         """Cayley graph of modulus n as a plain UGraph, cached."""
         with self._lock:
             hit = self._memory.get(n)
@@ -138,7 +137,7 @@ class CayleyCache:
                     f"on {sl2_order(n)} nodes"
                 )
         else:
-            g = build_cayley(n, budget=budget).graph
+            g = build_cayley(n).graph
             self._write_atomic(path, emit_edge_list(g))
         with self._lock:
             self._memory[n] = g

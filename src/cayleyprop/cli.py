@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 import tempfile
@@ -54,33 +55,19 @@ class InputError(ValueError):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 by default; the CLI contract reserves 2 for
-    # input errors and uses 1 for usage problems.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _ParserExit(EXIT_USAGE, f"{self.prog}: error: {message}")
-
-
-class _ParserExit(Exception):
-    def __init__(self, code: int, message: str = ""):
-        super().__init__(message)
-        self.code = code
-
-
-def _emit_manifest(args, command: str, outputs: list[str], seeds, started: float, extra=None):
+def _emit_manifest(args, outputs: list[str], seeds=(), extra=None):
     config = {
         k: v
         for k, v in vars(args).items()
         if k not in ("func", "manifest") and not k.startswith("_")
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()},
         "seeds": seeds,
         "outputs": outputs,
-        "wall_seconds": time.perf_counter() - started,
+        "wall_seconds": time.perf_counter() - args._started,
     }
     if extra:
         manifest.update(extra)
@@ -91,11 +78,29 @@ def _emit_manifest(args, command: str, outputs: list[str], seeds, started: float
     return manifest
 
 
-def _int_list(text: str) -> list[int]:
+def _int_list(text: str, minimum: int) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}")
+    if not values or any(v < minimum for v in values):
+        raise UsageError(
+            f"expected a non-empty list of integers >= {minimum}, got {text!r}"
+        )
+    return values
+
+
+def _int_from(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +109,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_build_cayley(args) -> int:
-    started = time.perf_counter()
-    if (args.n is None) == (args.nodes is None):
-        raise UsageError("give exactly one of --n or --nodes")
-    if args.n is not None:
-        if args.n < 2:
-            raise UsageError("--n must be >= 2")
-        n = args.n
-    else:
-        if args.nodes < 1:
-            raise UsageError("--nodes must be >= 1")
-        n = smallest_modulus(args.nodes)
+    n = args.n if args.n is not None else smallest_modulus(args.nodes)
     cache = CayleyCache(args.cache_dir)
     g = cache.graph(n)
     outputs = [str(cache.path_for(n))]
@@ -125,19 +120,14 @@ def cmd_build_cayley(args) -> int:
         f"modulus={n} nodes={g.node_count} edges={g.edge_count} "
         f"degree={max(g.degrees(), default=0)} cache={cache.path_for(n)}"
     )
-    _emit_manifest(args, "build-cayley", outputs, [], started)
+    _emit_manifest(args, outputs)
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    started = time.perf_counter()
-    if (args.graph is None) == (args.cayley is None):
-        raise UsageError("give exactly one of a graph file or --cayley")
     if args.truncate is not None and args.cayley is None:
         raise UsageError("--truncate requires --cayley")
     if args.cayley is not None:
-        if args.cayley < 2:
-            raise UsageError("--cayley must be >= 2")
         full = CayleyCache(args.cache_dir).graph(args.cayley)
         if args.truncate is None:
             g = full
@@ -156,6 +146,8 @@ def cmd_analyze(args) -> int:
         if not path.is_file():
             raise InputError(f"no such graph file: {path}")
         g = parse_edge_list(path.read_text(), allow_self_loops=args.allow_self_loops)
+        if g.node_count == 0:
+            raise InputError(f"graph file {path} has no nodes")
         source = str(path)
     report = analyze(g).to_json_dict()
     report["source"] = source
@@ -163,17 +155,14 @@ def cmd_analyze(args) -> int:
     if args.out:
         write_atomic(Path(args.out), json.dumps(report, indent=2) + "\n")
         outputs.append(args.out)
-        _emit_manifest(args, "analyze", outputs, [], started)
+        _emit_manifest(args, outputs)
     else:
-        report["manifest"] = _emit_manifest(args, "analyze", [], [], started)
+        report["manifest"] = _emit_manifest(args, [])
         print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    started = time.perf_counter()
-    if args.v_min < 2:
-        raise UsageError("v-min must be >= 2")
     # an empty range (v-max < v-min) legitimately yields a header-only CSV
     rows = expansion_sweep(args.v_min, args.v_max, cache=CayleyCache(args.cache_dir))
     write_atomic(Path(args.out), sweep_to_csv(rows))
@@ -182,12 +171,11 @@ def cmd_sweep(args) -> int:
         _plot_sweep(rows, args.plot)
         outputs.append(args.plot)
     print(f"wrote {len(rows)} rows to {args.out}")
-    _emit_manifest(args, "sweep", outputs, [], started)
+    _emit_manifest(args, outputs)
     return EXIT_OK
 
 
 def cmd_rewire(args) -> int:
-    started = time.perf_counter()
     manifest_path = Path(args.dataset)
     if not manifest_path.is_file():
         raise InputError(f"no such manifest: {manifest_path}")
@@ -196,8 +184,10 @@ def cmd_rewire(args) -> int:
         entries = dataset["graphs"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise InputError(f"bad dataset manifest {manifest_path}: {exc}")
-    if args.scheme not in SCHEMES:
-        raise UsageError(f"--scheme must be one of {', '.join(SCHEMES)}")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise InputError(
+            f"bad dataset manifest {manifest_path}: graphs must be a list of objects"
+        )
     cache = CayleyCache(args.cache_dir)
     out_dir = Path(args.out_dir)
     results, failures = [], []
@@ -232,24 +222,32 @@ def cmd_rewire(args) -> int:
     )
     for failure in failures:
         print(f"  failed {failure['name']}: {failure['error']}", file=sys.stderr)
-    _emit_manifest(args, "rewire", [str(out_dir / "summary.json")], [], started)
+    _emit_manifest(args, [str(out_dir / "summary.json")])
     return EXIT_INPUT if failures else EXIT_OK
 
 
 def cmd_train(args) -> int:
-    started = time.perf_counter()
     structures = [s.strip() for s in args.structures.split(",") if s.strip()]
     for s in structures:
         if s not in SUM_TASK_STRUCTURES:
             raise UsageError(
                 f"unknown structure {s!r}; expected one of {SUM_TASK_STRUCTURES}"
             )
-    seeds = _int_list(args.seeds)
-    train_sizes = _int_list(args.train_sizes)
-    if not seeds or not train_sizes:
-        raise UsageError("need at least one seed and one train size")
-    if args.scheme not in SCHEMES:
-        raise UsageError(f"--scheme must be one of {', '.join(SCHEMES)}")
+    seeds = _int_list(args.seeds, 0)
+    train_sizes = _int_list(args.train_sizes, 1)
+    try:
+        base_config = TrainConfig(
+            learning_rate=args.learning_rate,
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            hidden_dim=args.hidden,
+            num_layers=args.layers,
+            layer_kind=args.layer_kind,
+            scheme=args.scheme,
+            train_sizes=tuple(train_sizes),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc))
     cache = CayleyCache(args.cache_dir)
     builder = scheme_plan_builder(args.scheme, args.layers, cache=cache)
     all_rows, failed = [], []
@@ -258,17 +256,7 @@ def cmd_train(args) -> int:
             dataset = gen_sum_task(
                 structure, max(train_sizes), seed, test_size=args.test_size
             )
-            config = TrainConfig(
-                learning_rate=args.learning_rate,
-                epochs=args.epochs,
-                batch_size=args.batch_size,
-                seed=seed,
-                hidden_dim=args.hidden,
-                num_layers=args.layers,
-                layer_kind=args.layer_kind,
-                scheme=args.scheme,
-                train_sizes=tuple(train_sizes),
-            )
+            config = dataclasses.replace(base_config, seed=seed)
             for row in train(builder, dataset, config):
                 if row.failed:
                     failed.append(
@@ -287,7 +275,7 @@ def cmd_train(args) -> int:
         f"wrote {len(all_rows)} rows to {args.out} "
         f"({len(failed)} failed runs), aggregate in {agg_path}"
     )
-    _emit_manifest(args, "train", outputs, seeds, started, extra={"failed_runs": failed})
+    _emit_manifest(args, outputs, seeds, extra={"failed_runs": failed})
     return EXIT_OK
 
 
@@ -310,8 +298,7 @@ def _aggregate_curve_csv(rows) -> str:
 
 
 def cmd_bench(args) -> int:
-    started = time.perf_counter()
-    sizes = _int_list(args.sizes) if args.sizes else list(BENCH_DEFAULT_SIZES)
+    sizes = _int_list(args.sizes, 1) if args.sizes else list(BENCH_DEFAULT_SIZES)
     sizes = [n for n in sizes if n <= args.n_max]
     if args.n_max > BENCH_MAX_NODES:
         raise UsageError(f"--n-max is capped at {BENCH_MAX_NODES}")
@@ -336,7 +323,7 @@ def cmd_bench(args) -> int:
                 f"seconds={elapsed:.4f}"
             )
     write_atomic(Path(args.out), "\n".join(lines) + "\n")
-    _emit_manifest(args, "bench", [args.out], [args.seed], started)
+    _emit_manifest(args, [args.out], [args.seed])
     return EXIT_OK
 
 
@@ -399,8 +386,8 @@ def _plot_curves(rows, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="cayleyprop", description=__doc__)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="cayleyprop", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -409,15 +396,17 @@ def build_parser() -> _Parser:
         p.add_argument("--manifest", default=None, help="run-manifest output path")
 
     p = sub.add_parser("build-cayley", help="construct and cache a Cayley graph")
-    p.add_argument("--n", type=int, default=None, help="modulus")
-    p.add_argument("--nodes", type=int, default=None, help="target node count")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--n", type=_int_from(2), help="modulus")
+    target.add_argument("--nodes", type=_int_from(1), help="target node count")
     p.add_argument("--out", default=None, help="also write the edge list here")
     common(p)
     p.set_defaults(func=cmd_build_cayley)
 
     p = sub.add_parser("analyze", help="spectral report for a graph")
-    p.add_argument("graph", nargs="?", default=None, help="edge-list file")
-    p.add_argument("--cayley", type=int, default=None, help="analyze Cay(SL(2,Z_n))")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("graph", nargs="?", help="edge-list file")
+    source.add_argument("--cayley", type=_int_from(2), help="analyze Cay(SL(2,Z_n))")
     p.add_argument("--truncate", type=int, default=None, help="BFS truncation size")
     p.add_argument("--allow-self-loops", action="store_true")
     p.add_argument("--out", default=None, help="write the JSON report here")
@@ -425,7 +414,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="truncation sweep CSV")
-    p.add_argument("--v-min", type=int, required=True)
+    p.add_argument("--v-min", type=_int_from(2), required=True)
     p.add_argument("--v-max", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--plot", default=None, help="optional SVG chart")
@@ -434,8 +423,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rewire", help="export propagation templates for a dataset")
     p.add_argument("dataset", help="dataset manifest JSON")
-    p.add_argument("--scheme", default="CGP")
-    p.add_argument("--layers", type=int, default=2)
+    p.add_argument("--scheme", choices=SCHEMES, default="CGP")
+    p.add_argument("--layers", type=_int_from(1), default=2)
     p.add_argument("--out-dir", required=True)
     common(p)
     p.set_defaults(func=cmd_rewire)
@@ -444,14 +433,14 @@ def build_parser() -> _Parser:
     p.add_argument("--structures", default="Empty,Cayley24,Star,BA")
     p.add_argument("--seeds", default="0,1,2,3,4")
     p.add_argument("--train-sizes", default="20,40,60,100,200,300,400,500,1000,2000,4000")
-    p.add_argument("--test-size", type=int, default=200)
+    p.add_argument("--test-size", type=_int_from(1), default=200)
     p.add_argument("--epochs", type=int, default=60)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--layer-kind", choices=("gin", "gcn"), default="gin")
-    p.add_argument("--scheme", default="Base")
+    p.add_argument("--scheme", choices=SCHEMES, default="Base")
     p.add_argument("--out", required=True)
     p.add_argument("--plot", default=None)
     common(p)
@@ -460,8 +449,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="time CGP template construction on ER graphs")
     p.add_argument("--sizes", default=None, help="comma-separated node counts")
     p.add_argument("--n-max", type=int, default=10000)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--layers", type=_int_from(1), default=2)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--cold", action="store_true", help="use a fresh empty cache")
     p.add_argument("--out", required=True)
     common(p)
@@ -474,11 +463,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits with 2 on a usage error; the CLI contract reserves
+        # 2 for input errors and uses 1 for usage problems.
+        return EXIT_USAGE if exc.code == 2 else exc.code
+    args._started = time.perf_counter()
+    try:
         return args.func(args)
-    except _ParserExit as exc:  # argparse usage errors
-        if str(exc):
-            print(str(exc), file=sys.stderr)
-        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

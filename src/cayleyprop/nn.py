@@ -9,6 +9,7 @@ exact gradient checks matter more than large-scale training tricks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -26,6 +27,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 SUM_TASK_STRUCTURES = ("Empty", "Cayley24", "Star", "BA", "GNP")
+SUM_TASK_FEATURE_DIM = 128
+SUM_TASK_NODE_COUNT = 20
+SUM_TASK_GNP_P = 0.5
+SUM_TASK_BA_M = 2
 _CAYLEY24_MODULUS = 3
 _CAYLEY24_NODES = 24
 
@@ -358,11 +363,7 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            step=0,
-            m={n: np.zeros_like(a) for n, a in params.arrays()},
-            v={n: np.zeros_like(a) for n, a in params.arrays()},
-        )
+        return cls(m=zero_grads(params), v=zero_grads(params))
 
 
 def adam_step(
@@ -370,9 +371,6 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
 ) -> ModelParams:
     """One Adam update. Returns fresh parameters; state advances in place."""
     state.step += 1
@@ -380,11 +378,11 @@ def adam_step(
     new = params.copy()
     for name, arr in new.arrays():
         g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1**t)
-        v_hat = state.v[name] / (1.0 - beta2**t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1.0 - ADAM_BETA1**t)
+        v_hat = state.v[name] / (1.0 - ADAM_BETA2**t)
+        arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new
 
 
@@ -415,10 +413,6 @@ def gen_sum_task(
     seed: int,
     *,
     test_size: int = 200,
-    feature_dim: int = 128,
-    node_count: int = 20,
-    gnp_p: float = 0.5,
-    ba_m: int = 2,
 ) -> SumTaskDataset:
     """Binary classification with a graph-independent ground truth.
 
@@ -426,17 +420,17 @@ def gen_sum_task(
     the sign of the teacher applied to the feature sum. Feature draws do not
     depend on the structure, so datasets with the same seed share their
     node features and differ only in topology. Cayley24 samples use 24-row
-    feature matrices, all other structures node_count rows.
+    feature matrices, all other structures SUM_TASK_NODE_COUNT rows.
     """
     if structure not in SUM_TASK_STRUCTURES:
         raise ValueError(
             f"unknown structure {structure!r}; expected one of {SUM_TASK_STRUCTURES}"
         )
     teacher = np.random.default_rng([seed, _SEED_TAG_TEACHER]).standard_normal(
-        feature_dim
+        SUM_TASK_FEATURE_DIM
     )
-    rows = _CAYLEY24_NODES if structure == "Cayley24" else node_count
-    pool_rows = max(node_count, _CAYLEY24_NODES)
+    rows = _CAYLEY24_NODES if structure == "Cayley24" else SUM_TASK_NODE_COUNT
+    pool_rows = max(SUM_TASK_NODE_COUNT, _CAYLEY24_NODES)
 
     def make_samples(count: int, split_tag: int):
         feat_rng = np.random.default_rng([seed, _SEED_TAG_FEATURES, split_tag])
@@ -446,9 +440,9 @@ def gen_sum_task(
         shared = _shared_structure_graph(structure, rows)
         samples = []
         for _ in range(count):
-            x = feat_rng.standard_normal((pool_rows, feature_dim))[:rows]
+            x = feat_rng.standard_normal((pool_rows, SUM_TASK_FEATURE_DIM))[:rows]
             g = shared if shared is not None else _sampled_structure_graph(
-                structure, rows, graph_rng, gnp_p, ba_m
+                structure, rows, graph_rng
             )
             label = int(x.sum(axis=0) @ teacher > 0.0)
             samples.append(SumTaskSample(graph=g, features=x, label=label))
@@ -473,12 +467,12 @@ def _shared_structure_graph(structure: str, rows: int) -> UGraph | None:
     return None
 
 
-def _sampled_structure_graph(structure, rows, rng, gnp_p, ba_m) -> UGraph:
+def _sampled_structure_graph(structure, rows, rng) -> UGraph:
     sample_seed = int(rng.integers(0, 2**62))
     if structure == "GNP":
-        return gen_graph("ER", rows, sample_seed, p=gnp_p)
+        return gen_graph("ER", rows, sample_seed, p=SUM_TASK_GNP_P)
     if structure == "BA":
-        return gen_graph("BA", rows, sample_seed, m=ba_m)
+        return gen_graph("BA", rows, sample_seed, m=SUM_TASK_BA_M)
     raise AssertionError(structure)
 
 
@@ -535,17 +529,11 @@ def error_rate(
 def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[CurveRow]:
     """Learning curve over config.train_sizes on nested training subsets.
 
-    plan_builder maps a graph to its PropagationPlan; plans are reused for
-    repeated graph objects. A diverging run is recorded as failed and does
-    not stop the remaining sizes.
+    plan_builder maps a graph to its PropagationPlan; equal graphs share one
+    plan. A diverging run is recorded as failed and does not stop the
+    remaining sizes.
     """
-    plan_cache: dict[int, PropagationPlan] = {}
-
-    def plan_for(g: UGraph) -> PropagationPlan:
-        key = id(g)
-        if key not in plan_cache:
-            plan_cache[key] = plan_builder(g)
-        return plan_cache[key]
+    plan_for = functools.cache(plan_builder)
 
     test_plans = [plan_for(s.graph) for s in dataset.test]
     feature_dim = dataset.train[0].features.shape[1] if dataset.train else 0

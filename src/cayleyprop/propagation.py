@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cayley import CayleyCache, DEFAULT_VERTEX_BUDGET, smallest_modulus
+from .cayley import CayleyCache, smallest_modulus
 from .graphcore import (
     UGraph,
     complete_graph,
@@ -54,13 +54,13 @@ class PropagationPlan:
 
     input_template is the graph used on input-side layers (the raw input,
     its extension, or the master-node augmentation); cayley_template is the
-    complete or truncated Cayley graph for schemes that use one. layer_kinds
-    names the template of each layer, and layer_graphs follows from it.
+    complete or truncated Cayley graph for schemes that use one. The input
+    template's node count is the extended count. layer_kinds names the
+    template of each layer, and layer_graphs follows from it.
     """
 
     scheme: str
     original_count: int
-    extended_count: int
     modulus: int | None
     layer_kinds: tuple[str, ...]
     input_template: UGraph
@@ -69,12 +69,16 @@ class PropagationPlan:
     virtual_seed: int = 0
 
     def __post_init__(self) -> None:
-        for g in (self.input_template, self.cayley_template):
-            if g is not None and g.node_count != self.extended_count:
-                raise ValueError(
-                    f"template graph has {g.node_count} nodes, plan expects "
-                    f"{self.extended_count}"
-                )
+        g = self.cayley_template
+        if g is not None and g.node_count != self.extended_count:
+            raise ValueError(
+                f"template graph has {g.node_count} nodes, plan expects "
+                f"{self.extended_count}"
+            )
+
+    @property
+    def extended_count(self) -> int:
+        return self.input_template.node_count
 
     @cached_property
     def layer_graphs(self) -> tuple[UGraph, ...]:
@@ -151,7 +155,6 @@ def build_plan(
     cache: CayleyCache | None = None,
     virtual_init: str = "zeros",
     virtual_seed: int = 0,
-    budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> PropagationPlan:
     """Assemble the template graphs and layer schedule for one input graph."""
     if num_layers < 1:
@@ -178,7 +181,7 @@ def build_plan(
     else:
         cache = cache or CayleyCache()
         modulus = smallest_modulus(v)
-        cayley_full = cache.graph(modulus, budget=budget)
+        cayley_full = cache.graph(modulus)
         if scheme == "EGP":
             input_kind = LAYER_INPUT
             input_template = g
@@ -199,7 +202,6 @@ def build_plan(
     return PropagationPlan(
         scheme=scheme,
         original_count=v,
-        extended_count=input_template.node_count,
         modulus=modulus,
         layer_kinds=kinds,
         input_template=input_template,

@@ -48,26 +48,26 @@ def laplacian(g: UGraph, kind: str = "normalized") -> np.ndarray:
     raise ValueError(f"unknown Laplacian kind {kind!r}")
 
 
-def eig_sym(m: np.ndarray, tol: float = EIG_TOL) -> np.ndarray:
+def eig_sym(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix.
 
-    Rejects inputs that are not symmetric within tol and verifies the
-    reconstruction residual ||MQ - Q diag(w)|| <= tol * ||M|| before
+    Rejects inputs that are not symmetric within EIG_TOL and verifies the
+    reconstruction residual ||MQ - Q diag(w)|| <= EIG_TOL * ||M|| before
     returning.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if float(np.abs(m - m.T).max(initial=0.0)) > tol * scale:
+    if float(np.abs(m - m.T).max(initial=0.0)) > EIG_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     w, q = np.linalg.eigh(m)
     norm = max(float(np.linalg.norm(m)), 1.0)
     residual = float(np.linalg.norm(m @ q - q * w))
-    if residual > tol * norm:
+    if residual > EIG_TOL * norm:
         raise RuntimeError(
             f"eigendecomposition residual {residual:.3e} exceeds "
-            f"{tol:.1e} * ||M||"
+            f"{EIG_TOL:.1e} * ||M||"
         )
     return w
 

@@ -54,6 +54,38 @@ class TestExitCodes:
         code, _, _ = run(["frobnicate"], capsys)
         assert code == 1
 
+    TRAIN = ["train", "--structures", "Empty", "--seeds", "0", "--train-sizes", "20",
+             "--test-size", "5", "--epochs", "1", "--hidden", "4", "--out", "out.csv"]
+    BENCH = ["bench", "--sizes", "10", "--out", "out.csv"]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (TRAIN + ["--test-size", "0"], 1),
+            (TRAIN + ["--train-sizes", "0"], 1),
+            (TRAIN + ["--epochs", "0"], 1),
+            (TRAIN + ["--batch-size", "0"], 1),
+            (TRAIN + ["--hidden", "0"], 1),
+            (TRAIN + ["--learning-rate", "0"], 1),
+            (TRAIN + ["--seeds=-1"], 1),
+            (BENCH + ["--sizes", "0,10"], 1),
+            (BENCH + ["--seed=-1"], 1),
+            (["analyze", "empty.edgelist"], 2),
+            (["rewire", "dataset.json", "--out-dir", "rewired"], 2),
+        ],
+        ids=["test-size", "train-sizes", "epochs", "batch-size", "hidden",
+             "learning-rate", "seeds", "bench-sizes", "bench-seed", "empty-graph",
+             "graphs-not-a-list"],
+    )
+    def test_bad_values_exit_with_documented_code(
+        self, argv, expected, capsys, cache_dir, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.edgelist").write_text("0\n")
+        (tmp_path / "dataset.json").write_text(json.dumps({"graphs": {"a": "x"}}))
+        code, _, err = run(argv + ["--cache-dir", cache_dir], capsys)
+        assert code == expected, err
+
 
 class TestBuildCayley:
     def test_by_modulus(self, capsys, cache_dir, tmp_path):

@@ -435,6 +435,23 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(scheme_plan_builder("Base", 1), ds, config)
 
+    def test_equal_graphs_share_one_plan(self):
+        # The train and test splits each hold their own Star graph object;
+        # the two are equal, so one plan serves both.
+        ds = gen_sum_task("Star", 4, 0, test_size=2)
+        assert ds.train[0].graph is not ds.test[0].graph
+        assert ds.train[0].graph == ds.test[0].graph
+        builder = scheme_plan_builder("Base", 1)
+        built = []
+
+        def counting_builder(g):
+            built.append(g)
+            return builder(g)
+
+        config = TrainConfig(epochs=1, hidden_dim=4, train_sizes=(4,))
+        train(counting_builder, ds, config)
+        assert len(built) == 1
+
 
 class TestCheckpoint:
     def test_round_trip(self):

@@ -9,7 +9,6 @@ from cayleyprop.graphcore import UGraph, gen_graph, parse_edge_list
 from cayleyprop.modgroup import sl2_order
 from cayleyprop.propagation import (
     SCHEMES,
-    PropagationPlan,
     build_plan,
     export_plan,
     extend_features,
@@ -151,15 +150,6 @@ class TestBuildPlan:
 
     def test_template_size_must_match_extended_count(self):
         g = UGraph(3, [(0, 1)])
-        with pytest.raises(ValueError, match="template graph has 3 nodes"):
-            PropagationPlan(
-                scheme="Base",
-                original_count=3,
-                extended_count=4,
-                modulus=None,
-                layer_kinds=("input",),
-                input_template=g,
-            )
         plan = build_plan(g, "Base", 1)
         with pytest.raises(ValueError, match="template graph has 4 nodes"):
             dataclasses.replace(plan, cayley_template=UGraph(4))
