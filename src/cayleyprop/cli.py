@@ -194,6 +194,12 @@ def cmd_rewire(args) -> int:
     for i, entry in enumerate(entries):
         name = entry.get("name", f"graph{i}")
         try:
+            # The name becomes three file names inside out_dir.
+            plain = isinstance(name, str) and name not in ("", ".", "..")
+            if not plain or Path(name).name != name:
+                raise ValueError(f"name {name!r} is not a single plain file name")
+            if not isinstance(entry["graph"], str):
+                raise ValueError(f"graph {entry['graph']!r} is not a path string")
             graph_file = manifest_path.parent / entry["graph"]
             g = parse_edge_list(graph_file.read_text())
             plan = build_plan(g, args.scheme, args.layers, cache=cache)

@@ -499,6 +499,8 @@ class TrainConfig:
             raise ValueError("learning rate, epochs and batch size must be positive")
         if self.hidden_dim < 1 or self.num_layers < 1:
             raise ValueError("hidden_dim and num_layers must be positive")
+        if not self.train_sizes or min(self.train_sizes) < 1:
+            raise ValueError("train_sizes must hold at least one size, each >= 1")
 
 
 @dataclass(frozen=True)
@@ -533,6 +535,8 @@ def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[Cu
     plan. A diverging run is recorded as failed and does not stop the
     remaining sizes.
     """
+    if not dataset.test:
+        raise ValueError("the dataset has no test samples")
     plan_for = functools.cache(plan_builder)
 
     test_plans = [plan_for(s.graph) for s in dataset.test]

@@ -135,6 +135,7 @@ def test_criterion_4_effective_resistance():
             assert analyze(g).r_tot == pytest.approx(pairwise, abs=1e-8)
 
 
+@pytest.mark.slow
 def test_criterion_5_sweep_shape(cache):
     with criterion(5, "truncation sweep peaks at complete sizes, dips early after them"):
         start = time.perf_counter()
@@ -317,6 +318,7 @@ def test_criterion_8_structural_contracts(cache):
         assert zp == pytest.approx(z, abs=1e-9)
 
 
+@pytest.mark.slow
 def test_criterion_9_sum_task(cache):
     with criterion(9, "sum-task ordering: Empty ~ Cayley24 < {Star, BA}; regression pinned"):
         start = time.perf_counter()

@@ -360,6 +360,52 @@ class TestRewire:
         assert len(summary["failures"]) == 1
         assert len(summary["graphs"]) == 1  # the good graph still exported
 
+    def _rewire_with_extra_entries(self, capsys, cache_dir, tmp_path, extra):
+        work = tmp_path / "work"
+        work.mkdir()
+        manifest = self._write_dataset(work, [10])
+        data = json.loads(manifest.read_text())
+        data["graphs"].extend(extra)
+        manifest.write_text(json.dumps(data))
+        out_dir = work / "out"
+        code, _, _ = run(
+            ["rewire", str(manifest), "--scheme", "CGP", "--out-dir", str(out_dir),
+             "--cache-dir", cache_dir, "--manifest", str(tmp_path / "m.json")],
+            capsys,
+        )
+        return code, json.loads((out_dir / "summary.json").read_text()), out_dir
+
+    @pytest.mark.parametrize(
+        "name", ["../escaped", "out/../../escaped", "sub/escaped", "ABSOLUTE", "",
+                 ".", "..", 5, None]
+    )
+    def test_name_must_be_a_plain_file_name(self, capsys, cache_dir, tmp_path, name):
+        if name == "ABSOLUTE":
+            name = str(tmp_path / "escaped")
+        code, summary, out_dir = self._rewire_with_extra_entries(
+            capsys, cache_dir, tmp_path, [{"name": name, "graph": "g0.edgelist"}]
+        )
+        assert code == 2
+        assert [f["name"] for f in summary["failures"]] == [name]
+        assert "plain file name" in summary["failures"][0]["error"]
+        assert [g["name"] for g in summary["graphs"]] == ["g0"]
+        assert (out_dir / "g0.cayley.edgelist").is_file()
+        assert not list(tmp_path.rglob("*escaped*"))
+
+    @pytest.mark.parametrize("graph", [5, None, ["g0.edgelist"]])
+    def test_non_string_graph_is_a_recorded_failure(
+        self, capsys, cache_dir, tmp_path, graph
+    ):
+        code, summary, out_dir = self._rewire_with_extra_entries(
+            capsys, cache_dir, tmp_path, [{"name": "bad", "graph": graph}]
+        )
+        assert code == 2
+        assert [f["name"] for f in summary["failures"]] == ["bad"]
+        assert "not a path string" in summary["failures"][0]["error"]
+        assert [g["name"] for g in summary["graphs"]] == ["g0"]
+        assert (out_dir / "g0.json").is_file()
+        assert not (out_dir / "bad.json").exists()
+
 
 class TestTrainCommand:
     def test_smoke_run_within_budget(self, capsys, cache_dir, tmp_path):

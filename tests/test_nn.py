@@ -452,6 +452,24 @@ class TestTrain:
         train(counting_builder, ds, config)
         assert len(built) == 1
 
+    @pytest.mark.parametrize("sizes", [(), (0,), (20, 0), (-1,)])
+    def test_config_rejects_empty_or_nonpositive_train_sizes(self, sizes):
+        with pytest.raises(ValueError, match="train_sizes"):
+            TrainConfig(train_sizes=sizes)
+
+    def test_empty_test_split_rejected_before_training(self):
+        ds = dataclasses.replace(gen_sum_task("Empty", 10, seed=0, test_size=1), test=())
+        built = []
+
+        def counting_builder(g):
+            built.append(g)
+            return scheme_plan_builder("Base", 1)(g)
+
+        config = TrainConfig(epochs=1, hidden_dim=4, train_sizes=(10,))
+        with pytest.raises(ValueError, match="no test samples"):
+            train(counting_builder, ds, config)
+        assert built == []
+
 
 class TestCheckpoint:
     def test_round_trip(self):

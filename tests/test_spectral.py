@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from cayleyprop.cayley import CayleyCache, build_cayley
-from cayleyprop.graphcore import UGraph, complete_graph, disjoint_union, gen_graph
+from cayleyprop.graphcore import (
+    UGraph,
+    complete_graph,
+    disjoint_union,
+    gen_graph,
+    induced_prefix_subgraph,
+)
 from cayleyprop.spectral import (
     analyze,
     cheeger_constant_bruteforce,
@@ -208,6 +214,64 @@ class TestDirichlet:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             dirichlet_energy(EDGE, np.ones((3, 1)))
+
+
+def diameter_per_source(g):
+    """Hop diameter by one BFS per source node: the oracle for the frontier
+    form of diameter_bfs."""
+    if g.node_count == 0:
+        return None
+    dists = [g.bfs_distances(s) for s in range(g.node_count)]
+    if any(-1 in d for d in dists):
+        return None
+    return max(max(d) for d in dists)
+
+
+class TestDiameterOracle:
+    # Every prefix of moduli 2..8 covers the 355 sizes of the 6..360 sweep;
+    # the oracle needs ~14 s for moduli 7 and 8.
+    @pytest.mark.parametrize(
+        "n", [2, 3, 4, 5, 6] + [pytest.param(n, marks=pytest.mark.slow) for n in (7, 8)]
+    )
+    def test_every_cayley_prefix(self, n):
+        full = build_cayley(n).graph
+        for v in range(1, full.node_count + 1):
+            g = induced_prefix_subgraph(full, v)
+            assert diameter_bfs(g) == diameter_per_source(g), f"v={v}"
+
+    def test_seeded_er_graphs(self):
+        found = []
+        for seed in range(30):
+            for n, p in ((12, 0.15), (30, 0.1), (60, 0.06)):
+                g = gen_graph("ER", n, seed, p=p)
+                d = diameter_bfs(g)
+                assert d == diameter_per_source(g), (n, seed)
+                found.append(d is not None)
+        assert any(found) and not all(found)  # both connected and disconnected
+
+    def test_paths_and_cycles(self):
+        for n in (2, 3, 10, 41):
+            path = UGraph(n, [(i, i + 1) for i in range(n - 1)])
+            assert diameter_bfs(path) == n - 1
+        for n in (3, 4, 11, 40):
+            cycle = UGraph(n, [(i, (i + 1) % n) for i in range(n)])
+            assert diameter_bfs(cycle) == n // 2
+
+    def test_edgeless_and_degenerate_sizes(self):
+        assert diameter_bfs(UGraph(0)) is None
+        assert diameter_bfs(UGraph(1)) == 0
+        for n in (2, 5):
+            assert diameter_bfs(UGraph(n)) is None
+            assert diameter_bfs(UGraph(n, self_loops=range(n))) is None
+
+    def test_self_loops_are_ignored(self):
+        for seed in range(5):
+            g = random_connected(15, 400 + seed, p=0.2)
+            looped = UGraph(g.node_count, g.edges, self_loops=range(0, 15, 2))
+            assert diameter_bfs(looped) == diameter_bfs(g) == diameter_per_source(g)
+        g = disjoint_union([PATH3, EDGE])
+        looped = UGraph(g.node_count, g.edges, self_loops=range(g.node_count))
+        assert diameter_bfs(looped) is None
 
 
 class TestDiameterBound:
