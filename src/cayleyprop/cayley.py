@@ -26,7 +26,6 @@ class CayleyGraph:
     """Cay(SL(2, Z_n); S_n) with BFS-ordered vertices."""
 
     modulus: int
-    vertices: tuple[Mat2Z, ...]
     graph: UGraph
     degree: int
 
@@ -44,7 +43,6 @@ def build_cayley(n: int, budget: int = DEFAULT_VERTEX_BUDGET) -> CayleyGraph:
     gens = generators(n)
     identity = Mat2Z.identity(n)
     index: dict[Mat2Z, int] = {identity: 0}
-    vertices: list[Mat2Z] = [identity]
     edges: set[tuple[int, int]] = set()
     queue: deque[Mat2Z] = deque([identity])
     while queue:
@@ -54,19 +52,17 @@ def build_cayley(n: int, budget: int = DEFAULT_VERTEX_BUDGET) -> CayleyGraph:
             y = mat_mul(x, s)
             iy = index.get(y)
             if iy is None:
-                iy = len(vertices)
+                iy = len(index)
                 index[y] = iy
-                vertices.append(y)
                 queue.append(y)
             edges.add((ix, iy) if ix < iy else (iy, ix))
-    if len(vertices) != order:
+    if len(index) != order:
         raise RuntimeError(
-            f"BFS reached {len(vertices)} elements, expected {order}; "
+            f"BFS reached {len(index)} elements, expected {order}; "
             "generating set does not generate the group"
         )
     return CayleyGraph(
         modulus=n,
-        vertices=tuple(vertices),
         graph=UGraph(order, sorted(edges)),
         degree=len(gens),
     )

@@ -7,8 +7,6 @@ algorithms can include or exclude them deliberately.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import deque
 from collections.abc import Iterable, Sequence
 
@@ -20,6 +18,10 @@ _SEED_TAG_ER = 0x45520001
 _SEED_TAG_BA = 0x42410002
 
 GRAPH_KINDS = ("ER", "Star", "BA", "Empty")
+
+# Largest graph that adjacency_matrix, and so every dense Laplacian and layer
+# operator built from it, will allocate: 8192^2 float64 entries are 512 MiB.
+DENSE_NODE_CAP = 8192
 
 
 class EdgeListParseError(ValueError):
@@ -94,6 +96,11 @@ class UGraph:
         return [len(nbrs) for nbrs in self.adj]
 
     def adjacency_matrix(self, include_self_loops: bool = False) -> np.ndarray:
+        if self.node_count > DENSE_NODE_CAP:
+            raise ValueError(
+                f"a dense matrix on {self.node_count} nodes exceeds the cap of "
+                f"{DENSE_NODE_CAP} nodes"
+            )
         a = np.zeros((self.node_count, self.node_count))
         for u, v in self.edges:
             a[u, v] = 1.0
@@ -261,23 +268,6 @@ def emit_edge_list(g: UGraph) -> str:
     entries.sort()
     lines.extend(f"{u} {v}" for u, v in entries)
     return "\n".join(lines) + "\n"
-
-
-def write_features_csv(x: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for row in np.atleast_2d(x):
-        writer.writerow([format(val, ".17g") for val in row])
-    return buf.getvalue()
-
-
-def read_features_csv(text: str) -> np.ndarray:
-    rows = [
-        [float(tok) for tok in record]
-        for record in csv.reader(io.StringIO(text))
-        if record
-    ]
-    return np.asarray(rows, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .graphcore import UGraph, gen_graph, star_graph
 from .propagation import PropagationPlan, build_plan, extend_features
 
 LAYER_KINDS = ("gin", "gcn")
-LOSSES = ("bce", "mae")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -42,7 +41,7 @@ _SEED_TAG_SHUFFLE = 0x54AFF1E
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss or gradient stops being finite."""
+    """Raised when a loss, gradient, parameter or logit stops being finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,7 @@ def _forward_cached(plan: PropagationPlan, params: ModelParams, x: np.ndarray):
             f"model has {len(params.layers)} layers, plan schedules "
             f"{plan.num_layers}"
         )
-    h = extend_features(x, plan.extended_count, plan.virtual_init, plan.virtual_seed)
+    h = extend_features(x, plan.extended_count)
     caches = []
     for layer, g in zip(params.layers, plan.layer_graphs):
         op = _layer_operator(g, layer.kind)
@@ -293,49 +292,38 @@ def sample_gradients(
     params: ModelParams,
     x: np.ndarray,
     label: float,
-    loss: str = "bce",
 ):
-    """Loss, parameter gradients, and extended-feature gradient for one
+    """BCE loss, parameter gradients, and extended-feature gradient for one
     sample."""
     h, z, caches = _forward_cached(plan, params, x)
-    loss_value, dz = _loss_and_dz(z, label, loss)
+    loss_value, dz = _loss_and_dz(z, label)
     grads, dx = _backward(plan, params, caches, h, dz)
     return loss_value, grads, dx
 
 
-def _loss_and_dz(z: float, label: float, loss: str):
-    if loss == "bce":
-        # log(1 + exp(z)) - y z; both forms stable at both tails
-        value = float(np.logaddexp(0.0, z) - label * z)
-        dz = float(0.5 * (1.0 + math.tanh(0.5 * z)) - label)
-        return value, dz
-    if loss == "mae":
-        value = float(abs(z - label))
-        dz = float(np.sign(z - label))
-        return value, dz
-    raise ValueError(f"unknown loss {loss!r}; expected one of {LOSSES}")
+def _loss_and_dz(z: float, label: float):
+    """Binary cross-entropy on the logit z and its derivative in z."""
+    # log(1 + exp(z)) - y z; both forms stable at both tails
+    value = float(np.logaddexp(0.0, z) - label * z)
+    dz = float(0.5 * (1.0 + math.tanh(0.5 * z)) - label)
+    return value, dz
 
 
 def loss_and_grads(
-    plan: PropagationPlan | list[PropagationPlan],
+    plans: list[PropagationPlan],
     params: ModelParams,
     batch: list[tuple[np.ndarray, float]],
-    loss: str = "bce",
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean loss and mean gradients over a batch of (features, label) pairs.
-
-    A single plan is broadcast over the batch; otherwise plans and samples
-    pair up elementwise.
-    """
+    """Mean BCE loss and mean gradients over a batch of (features, label)
+    pairs; plans and samples pair up elementwise."""
     if not batch:
         raise ValueError("empty batch")
-    plans = plan if isinstance(plan, list) else [plan] * len(batch)
     if len(plans) != len(batch):
         raise ValueError(f"{len(plans)} plans for {len(batch)} samples")
     total = 0.0
     acc = zero_grads(params)
     for sample_plan, (x, label) in zip(plans, batch):
-        value, grads, _ = sample_gradients(sample_plan, params, x, label, loss)
+        value, grads, _ = sample_gradients(sample_plan, params, x, label)
         total += value
         for name, g in grads.items():
             acc[name] += g
@@ -491,12 +479,15 @@ class TrainConfig:
     num_layers: int = 1
     layer_kind: str = "gin"
     scheme: str = "Base"
-    loss: str = "bce"
     train_sizes: tuple[int, ...] = (20, 40, 60, 100, 200, 300, 400, 500, 1000, 2000, 4000)
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("learning rate, epochs and batch size must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning rate must be finite and positive, got {self.learning_rate}"
+            )
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch size must be positive")
         if self.hidden_dim < 1 or self.num_layers < 1:
             raise ValueError("hidden_dim and num_layers must be positive")
         if not self.train_sizes or min(self.train_sizes) < 1:
@@ -524,6 +515,8 @@ def error_rate(
     wrong = 0
     for plan, sample in zip(plans, samples):
         _, z = model_forward(plan, params, sample.features)
+        if not math.isfinite(z):
+            raise TrainingDiverged(f"non-finite logit {z}")
         wrong += int((z > 0.0) != bool(sample.label))
     return wrong / len(samples)
 
@@ -532,8 +525,9 @@ def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[Cu
     """Learning curve over config.train_sizes on nested training subsets.
 
     plan_builder maps a graph to its PropagationPlan; equal graphs share one
-    plan. A diverging run is recorded as failed and does not stop the
-    remaining sizes.
+    plan. A run whose loss, gradients, final parameters or evaluation logits
+    stop being finite is recorded as failed and does not stop the remaining
+    sizes.
     """
     if not dataset.test:
         raise ValueError("the dataset has no test samples")
@@ -563,21 +557,20 @@ def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[Cu
                     idx = order[start : start + config.batch_size]
                     batch = [(subset[i].features, float(subset[i].label)) for i in idx]
                     plans = [subset_plans[i] for i in idx]
-                    _, grads = loss_and_grads(plans, params, batch, config.loss)
+                    _, grads = loss_and_grads(plans, params, batch)
                     params = adam_step(params, grads, state, config.learning_rate)
+            # The last Adam step is not followed by a loss_and_grads check.
+            if not all(np.all(np.isfinite(a)) for _, a in params.arrays()):
+                raise TrainingDiverged("non-finite parameters after training")
+            train_error = error_rate(subset_plans, params, subset)
+            test_error = error_rate(test_plans, params, dataset.test)
         except TrainingDiverged:
             rows.append(
                 CurveRow(dataset.structure, size, config.seed, 1.0, 1.0, failed=True)
             )
             continue
         rows.append(
-            CurveRow(
-                structure=dataset.structure,
-                train_size=size,
-                seed=config.seed,
-                train_error=error_rate(subset_plans, params, subset),
-                test_error=error_rate(test_plans, params, dataset.test),
-            )
+            CurveRow(dataset.structure, size, config.seed, train_error, test_error)
         )
     return rows
 

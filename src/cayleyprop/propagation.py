@@ -37,15 +37,12 @@ from .graphcore import (
 
 SCHEMES = ("Base", "MasterNode", "FALast", "EGP", "CGP", "CGPLast", "CGPEvery")
 CAYLEY_SCHEMES = frozenset({"EGP", "CGP", "CGPLast", "CGPEvery"})
-VIRTUAL_INIT_MODES = ("zeros", "gaussian")
 
 LAYER_INPUT = "input"
 LAYER_INPUT_EXTENDED = "input_extended"
 LAYER_CAYLEY = "cayley"
 LAYER_FULLY_ADJACENT = "fully_adjacent"
 LAYER_MASTER = "master"
-
-_SEED_TAG_VIRTUAL = 0x56495254
 
 
 @dataclass(frozen=True)
@@ -65,8 +62,6 @@ class PropagationPlan:
     layer_kinds: tuple[str, ...]
     input_template: UGraph
     cayley_template: UGraph | None = None
-    virtual_init: str = "zeros"
-    virtual_seed: int = 0
 
     def __post_init__(self) -> None:
         g = self.cayley_template
@@ -106,25 +101,15 @@ class PropagationPlan:
         return (self.original_count, self.extended_count)
 
 
-def extend_features(
-    x: np.ndarray, m: int, mode: str = "zeros", seed: int = 0
-) -> np.ndarray:
-    """Pad a feature matrix to m rows for the virtual nodes.
-
-    The first rows are copied verbatim; padding is zeros by default or unit
-    normal draws with mode="gaussian".
-    """
+def extend_features(x: np.ndarray, m: int) -> np.ndarray:
+    """Pad a feature matrix to m rows with zero rows for the virtual nodes;
+    the first rows are copied verbatim."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     rows, dim = x.shape
     if m < rows:
         raise ValueError(f"cannot extend {rows} rows down to {m}")
-    if mode not in VIRTUAL_INIT_MODES:
-        raise ValueError(f"unknown virtual init mode {mode!r}")
     out = np.zeros((m, dim))
     out[:rows] = x
-    if mode == "gaussian" and m > rows:
-        rng = np.random.default_rng([seed, _SEED_TAG_VIRTUAL])
-        out[rows:] = rng.standard_normal((m - rows, dim))
     return out
 
 
@@ -153,16 +138,12 @@ def build_plan(
     num_layers: int,
     *,
     cache: CayleyCache | None = None,
-    virtual_init: str = "zeros",
-    virtual_seed: int = 0,
 ) -> PropagationPlan:
     """Assemble the template graphs and layer schedule for one input graph."""
     if num_layers < 1:
         raise ValueError(f"num_layers must be >= 1, got {num_layers}")
     if scheme not in SCHEMES:
         raise ValueError(f"unsupported scheme {scheme!r}; expected one of {SCHEMES}")
-    if virtual_init not in VIRTUAL_INIT_MODES:
-        raise ValueError(f"unknown virtual init mode {virtual_init!r}")
     v = g.node_count
     if v < 1:
         raise ValueError("input graph has no nodes")
@@ -206,8 +187,6 @@ def build_plan(
         layer_kinds=kinds,
         input_template=input_template,
         cayley_template=cayley,
-        virtual_init=virtual_init,
-        virtual_seed=virtual_seed,
     )
 
 
@@ -218,7 +197,7 @@ def plan_summary(plan: PropagationPlan) -> dict:
         "original_count": plan.original_count,
         "extended_count": plan.extended_count,
         "virtual_node_range": list(plan.virtual_range),
-        "virtual_init": plan.virtual_init,
+        "virtual_init": "zeros",  # extend_features pads with zero rows
         "layer_kinds": list(plan.layer_kinds),
     }
 

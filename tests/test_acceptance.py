@@ -251,7 +251,7 @@ def test_criterion_7_gradient_exactness(cache):
             if scheme in ("CGP", "CGPLast", "CGPEvery"):
                 assert plan.virtual_count > 0  # virtual nodes really present
             label = float(idx % 2)
-            _, grads, _ = sample_gradients(plan, params, x, label, "bce")
+            _, grads, _ = sample_gradients(plan, params, x, label)
             worst = 0.0
             for name, arr in params.arrays():
                 flat = arr.reshape(-1)
@@ -260,10 +260,10 @@ def test_criterion_7_gradient_exactness(cache):
                     orig = flat[i]
                     flat[i] = orig + step
                     _, zp, _ = _forward_cached(plan, params, x)
-                    lp, _ = _loss_and_dz(zp, label, "bce")
+                    lp, _ = _loss_and_dz(zp, label)
                     flat[i] = orig - step
                     _, zm, _ = _forward_cached(plan, params, x)
-                    lm, _ = _loss_and_dz(zm, label, "bce")
+                    lm, _ = _loss_and_dz(zm, label)
                     flat[i] = orig
                     fd = (lp - lm) / (2 * step)
                     rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8)

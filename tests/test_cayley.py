@@ -8,7 +8,7 @@ from cayleyprop.cayley import (
     smallest_modulus,
 )
 from cayleyprop.graphcore import emit_edge_list, induced_prefix_subgraph
-from cayleyprop.modgroup import Mat2Z, sl2_order
+from cayleyprop.modgroup import sl2_order
 from cayleyprop.spectral import analyze
 
 # Regression anchor: the labelled BFS output is deterministic for the fixed
@@ -40,8 +40,9 @@ class TestBuild:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_invariants(self, n):
         cg = build_cayley(n)
-        assert cg.vertices[0] == Mat2Z.identity(n)
-        assert len(cg.vertices) == sl2_order(n)
+        assert cg.graph.node_count == sl2_order(n)
+        # BFS labels the identity 0 and its generator neighbors 1..degree.
+        assert cg.graph.neighbors(0) == tuple(range(1, cg.degree + 1))
         assert set(cg.graph.degrees()) == {cg.degree}
         assert cg.graph.edge_count == cg.degree * cg.graph.node_count // 2
         assert cg.graph.is_connected()

@@ -4,7 +4,12 @@ import tempfile
 import pytest
 
 from cayleyprop.cli import main
-from cayleyprop.graphcore import emit_edge_list, gen_graph, parse_edge_list
+from cayleyprop.graphcore import (
+    DENSE_NODE_CAP,
+    emit_edge_list,
+    gen_graph,
+    parse_edge_list,
+)
 
 
 @pytest.fixture()
@@ -67,6 +72,8 @@ class TestExitCodes:
             (TRAIN + ["--batch-size", "0"], 1),
             (TRAIN + ["--hidden", "0"], 1),
             (TRAIN + ["--learning-rate", "0"], 1),
+            (TRAIN + ["--learning-rate", "nan"], 1),
+            (TRAIN + ["--learning-rate", "inf"], 1),
             (TRAIN + ["--seeds=-1"], 1),
             (BENCH + ["--sizes", "0,10"], 1),
             (BENCH + ["--seed=-1"], 1),
@@ -74,7 +81,7 @@ class TestExitCodes:
             (["rewire", "dataset.json", "--out-dir", "rewired"], 2),
         ],
         ids=["test-size", "train-sizes", "epochs", "batch-size", "hidden",
-             "learning-rate", "seeds", "bench-sizes", "bench-seed", "empty-graph",
+             "learning-rate", "learning-rate-nan", "learning-rate-inf", "seeds", "bench-sizes", "bench-seed", "empty-graph",
              "graphs-not-a-list"],
     )
     def test_bad_values_exit_with_documented_code(
@@ -85,6 +92,16 @@ class TestExitCodes:
         (tmp_path / "dataset.json").write_text(json.dumps({"graphs": {"a": "x"}}))
         code, _, err = run(argv + ["--cache-dir", cache_dir], capsys)
         assert code == expected, err
+
+    def test_dense_matrix_over_the_cap_is_runtime_error(self, capsys, tmp_path):
+        # An edgeless graph: the cap is hit before anything is allocated.
+        path = tmp_path / "wide.edgelist"
+        path.write_text(f"{DENSE_NODE_CAP + 1}\n")
+        code, _, err = run(
+            ["analyze", str(path), "--manifest", str(tmp_path / "m.json")], capsys
+        )
+        assert code == 3
+        assert str(DENSE_NODE_CAP + 1) in err and str(DENSE_NODE_CAP) in err
 
 
 class TestBuildCayley:
@@ -478,6 +495,26 @@ class TestTrainCommand:
             )
             blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_run_is_listed_as_failed(self, capsys, cache_dir, tmp_path):
+        # One Adam step at this rate leaves finite parameters whose logits
+        # overflow; the run must not be reported as a curve row.
+        out_file = tmp_path / "c.csv"
+        code, out, _ = run(
+            ["train", "--structures", "Empty", "--seeds", "0", "--train-sizes", "20",
+             "--test-size", "5", "--epochs", "1", "--learning-rate", "1e300",
+             "--out", str(out_file), "--cache-dir", cache_dir,
+             "--manifest", str(tmp_path / "m.json")],
+            capsys,
+        )
+        assert code == 0
+        assert "1 failed runs" in out
+        assert out_file.read_text() == "structure,train_size,seed,train_error,test_error\n"
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        assert manifest["failed_runs"] == [
+            {"structure": "Empty", "seed": 0, "train_size": 20}
+        ]
 
     def test_bad_structure_usage_error(self, capsys, cache_dir, tmp_path):
         code, _, _ = run(

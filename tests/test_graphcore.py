@@ -3,6 +3,7 @@ import pytest
 
 from cayleyprop.cayley import build_cayley
 from cayleyprop.graphcore import (
+    DENSE_NODE_CAP,
     EdgeListParseError,
     UGraph,
     complete_graph,
@@ -12,10 +13,8 @@ from cayleyprop.graphcore import (
     emit_edge_list,
     gen_graph,
     parse_edge_list,
-    read_features_csv,
     relabel_nodes,
     star_graph,
-    write_features_csv,
 )
 
 # seed-pinned regression value recorded at first build
@@ -23,6 +22,11 @@ ER_20_HALF_SEED_1234_EDGES = 97
 
 
 class TestUGraph:
+    def test_adjacency_over_the_dense_cap_rejected(self):
+        n = DENSE_NODE_CAP + 1
+        with pytest.raises(ValueError, match=f"{n} nodes.*{DENSE_NODE_CAP}"):
+            UGraph(n).adjacency_matrix()
+
     def test_adjacency_consistent_with_edges(self):
         g = UGraph(4, [(0, 1), (1, 2), (0, 3)])
         assert g.neighbors(1) == (0, 2)
@@ -95,12 +99,6 @@ class TestEdgeListFormat:
     def test_blank_lines_ignored(self):
         g = parse_edge_list("3\n\n0 1\n\n")
         assert g.edge_count == 1
-
-
-class TestFeaturesCsv:
-    def test_round_trip(self):
-        x = np.random.default_rng(0).standard_normal((5, 3))
-        assert np.array_equal(read_features_csv(write_features_csv(x)), x)
 
 
 class TestGenerators:
