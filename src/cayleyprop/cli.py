@@ -281,8 +281,14 @@ def cmd_train(args) -> int:
         f"wrote {len(all_rows)} rows to {args.out} "
         f"({len(failed)} failed runs), aggregate in {agg_path}"
     )
+    for f in failed:
+        print(
+            f"  failed {f['structure']} seed {f['seed']} "
+            f"train size {f['train_size']}",
+            file=sys.stderr,
+        )
     _emit_manifest(args, outputs, seeds, extra={"failed_runs": failed})
-    return EXIT_OK
+    return EXIT_RUNTIME if failed else EXIT_OK
 
 
 def _aggregate_curve_csv(rows) -> str:

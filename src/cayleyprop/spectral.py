@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .cayley import CayleyCache, smallest_modulus
-from .graphcore import UGraph, induced_prefix_subgraph
+from .graphcore import DENSE_NODE_CAP, UGraph, induced_prefix_subgraph
 
 EIG_TOL = 1e-10
 ZERO_EIGENVALUE_CUTOFF = 1e-8
@@ -33,27 +34,40 @@ def laplacian(g: UGraph, kind: str = "normalized") -> np.ndarray:
     kind="normalized":    L = D^{-1/2} (D - A) D^{-1/2}, with the rows and
     columns of isolated vertices zeroed.
     """
-    a = g.adjacency_matrix()
-    deg = a.sum(axis=1)
-    if kind == "combinatorial":
-        return np.diag(deg) - a
+    if kind not in ("combinatorial", "normalized"):
+        raise ValueError(f"unknown Laplacian kind {kind!r}")
+    lap = g.adjacency_matrix()
+    deg = lap.sum(axis=1)
+    _to_combinatorial(lap, deg)
     if kind == "normalized":
-        with np.errstate(divide="ignore"):
-            inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
-        lap = -a * inv_sqrt[:, None] * inv_sqrt[None, :]
-        lap[np.arange(g.node_count), np.arange(g.node_count)] = np.where(
-            deg > 0, 1.0, 0.0
-        )
-        return lap
-    raise ValueError(f"unknown Laplacian kind {kind!r}")
+        _to_normalized(lap, deg)
+    return lap
+
+
+def _to_combinatorial(a: np.ndarray, deg: np.ndarray) -> None:
+    """Turn the adjacency matrix a into D - A in place."""
+    np.negative(a, out=a)
+    a[np.diag_indices_from(a)] = deg
+
+
+def _to_normalized(lap: np.ndarray, deg: np.ndarray) -> None:
+    """Turn D - A into D^{-1/2} (D - A) D^{-1/2} in place; the off-diagonal
+    entries are -a * s_u * s_v, in that order of operations."""
+    with np.errstate(divide="ignore"):
+        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
+    lap *= inv_sqrt[:, None]
+    lap *= inv_sqrt[None, :]
+    lap[np.diag_indices_from(lap)] = np.where(deg > 0, 1.0, 0.0)
 
 
 def eig_sym(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix.
+    """Ascending eigenvalues of a symmetric matrix, checked before returning.
 
-    Rejects inputs that are not symmetric within EIG_TOL and verifies the
-    reconstruction residual ||MQ - Q diag(w)|| <= EIG_TOL * ||M|| before
-    returning.
+    Rejects inputs that are not symmetric within EIG_TOL. A combinatorial
+    Laplacian D - A is solved for eigenvalues only and checked by the
+    identities its spectrum obeys (_laplacian_spectrum). Any other matrix is
+    decomposed with its eigenvectors and must meet the reconstruction
+    residual ||MQ - Q diag(w)|| <= EIG_TOL * ||M||.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -61,6 +75,8 @@ def eig_sym(m: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     if float(np.abs(m - m.T).max(initial=0.0)) > EIG_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
+    if _is_combinatorial_laplacian(m):
+        return _laplacian_spectrum(m)
     w, q = np.linalg.eigh(m)
     norm = max(float(np.linalg.norm(m)), 1.0)
     residual = float(np.linalg.norm(m @ q - q * w))
@@ -70,6 +86,49 @@ def eig_sym(m: np.ndarray) -> np.ndarray:
             f"{EIG_TOL:.1e} * ||M||"
         )
     return w
+
+
+def _is_combinatorial_laplacian(m: np.ndarray) -> bool:
+    """True when m = D - A for a 0/1 adjacency matrix A with a zero
+    diagonal: every row sums to 0 and every off-diagonal entry is 0 or -1."""
+    if m.size == 0 or np.any(m.sum(axis=1) != 0.0):
+        return False
+    off = m.copy()
+    np.fill_diagonal(off, 0.0)
+    return bool(np.all((off == 0.0) | (off == -1.0)))
+
+
+def _laplacian_spectrum(lap: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of L = D - A from an eigenvalue-only solve.
+
+    Without eigenvectors there is no residual to check, so the spectrum is
+    checked against what L fixes, with d = diag(L) the degrees: a smallest
+    eigenvalue of 0, so none is below -tol; sum(mu) = trace(L) = sum(d); and
+    sum(mu^2) = ||L||_F^2 = sum(d^2) + sum(d). The tolerances are what the
+    residual check allows: it accepts a backward error E with ||E||_F <= t =
+    EIG_TOL * ||L||_F, which moves each eigenvalue by at most t (Weyl) and
+    the eigenvalue vector by at most t in 2-norm (Hoffman-Wielandt), so
+    their sum by at most sqrt(n) t and the sum of their squares by at most
+    2 ||L||_F t + t^2.
+    """
+    mu = np.linalg.eigvalsh(lap)
+    deg = np.diag(lap)
+    trace = float(np.sum(deg))
+    frob_sq = float(np.sum(deg * deg)) + trace
+    t = EIG_TOL * max(math.sqrt(frob_sq), 1.0)
+    checks = (
+        ("smallest eigenvalue", float(mu.min()), t),
+        ("sum", float(np.sum(mu)) - trace, math.sqrt(len(mu)) * t),
+        ("sum of squares", float(np.sum(mu * mu)) - frob_sq,
+         (2.0 * math.sqrt(frob_sq) + t) * t),
+    )
+    for name, error, tol in checks:
+        if abs(error) > tol:
+            raise RuntimeError(
+                f"Laplacian spectrum {name} is off by {error:.3e}, "
+                f"more than {tol:.3e}"
+            )
+    return mu
 
 
 @dataclass(frozen=True)
@@ -108,52 +167,91 @@ class SpectralReport:
 
 def diameter_bfs(g: UGraph) -> int | None:
     """Exact hop diameter by one BFS from every node at once; None if
-    disconnected.
+    disconnected. Self-loops are ignored.
 
-    Row s of the frontier holds the nodes first reached from s at the current
-    level, and one product with the adjacency matrix gives the next level.
-    Neighbour counts are exact in float64, so ``> 0`` misses none. The
-    product stays in float64, the eigensolver's dtype: a float32 product
-    halves its time but maps BLAS's single-precision kernels, which raised
-    peak RSS. Costs n^2 memory, like the Laplacians.
+    Row u of the frontier is a bit set, in np.packbits layout, of the sources
+    whose search first reached u at the current level. A node is reached at
+    the next level from every source that reached one of its neighbours, so
+    a level ORs the rows of a node's neighbours into its own row, one degree
+    slot at a time. Nodes are ranked by descending degree, so the nodes with
+    a k-th neighbour are a prefix of the rows. Four n x n/8 byte arrays, no
+    matrix product.
     """
     n = g.node_count
+    if n > DENSE_NODE_CAP:
+        raise ValueError(
+            f"an all-sources BFS on {n} nodes exceeds the cap of "
+            f"{DENSE_NODE_CAP} nodes"
+        )
     if n == 0:
         return None
-    a = g.adjacency_matrix()
-    reached = np.eye(n, dtype=bool)
-    frontier = np.eye(n)
+    adj = g.adj
+    deg = np.fromiter(map(len, adj), dtype=np.intp, count=n)
+    # An isolated node disconnects any larger graph; past this, every node
+    # has a neighbour in slot 0, so that slot fills every row.
+    if n > 1 and deg.min() == 0:
+        return None
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    indices = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=indptr[-1])
+    order = np.argsort(-deg, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    # slots[k][r]: rank of the k-th neighbour of the node of rank r.
+    slots = [
+        rank[indices[indptr[order[: np.count_nonzero(deg > k)]] + k]]
+        for k in range(deg.max())
+    ]
+    r = np.arange(n)
+    frontier = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    frontier[r, r >> 3] = 0x80 >> (r & 7)
+    unreached = np.full_like(frontier, 0xFF)
+    unreached[:, -1] = 0xFF & (0xFF << (-n % 8))  # no padding bit is sought
+    unreached ^= frontier
+    nxt = np.empty_like(frontier)
+    gathered = np.empty_like(frontier)
     levels = 0
-    while not reached.all():
-        new = (frontier @ a > 0) & ~reached
-        if not new.any():
+    # The ranks are in range by construction; mode="clip" skips the buffered
+    # copy that np.take makes into ``out`` to check them.
+    while unreached.any():
+        np.take(frontier, slots[0], axis=0, out=nxt, mode="clip")
+        for nbrs in slots[1:]:
+            part = gathered[: len(nbrs)]
+            np.take(frontier, nbrs, axis=0, out=part, mode="clip")
+            nxt[: len(nbrs)] |= part
+        np.bitwise_and(nxt, unreached, out=frontier)
+        if not frontier.any():
             return None
-        reached |= new
-        frontier = new.astype(np.float64)
+        unreached ^= frontier
         levels += 1
     return levels
 
 
 def analyze(g: UGraph) -> SpectralReport:
-    """Full spectral report; degenerate cases are reported, not raised."""
+    """Full spectral report; degenerate cases are reported, not raised.
+
+    One adjacency matrix serves both spectra: it becomes D - A in place for
+    the combinatorial spectrum, which feeds only r_tot, and then the
+    normalized Laplacian.
+    """
     n = g.node_count
     if n == 0:
         raise ValueError("cannot analyze an empty graph")
-    evals = eig_sym(laplacian(g, "normalized"))
-    evals = np.where(np.abs(evals) < ZERO_EIGENVALUE_CUTOFF, 0.0, evals)
-    gap = float(evals[1]) if n >= 2 else 0.0
+    lap = g.adjacency_matrix()
+    deg = lap.sum(axis=1)
     diameter = diameter_bfs(g)
     connected = diameter is not None
-    if not connected:
-        gap = 0.0
+    _to_combinatorial(lap, deg)
     if n == 1:
         r_tot = 0.0
     elif connected:
-        comb = eig_sym(laplacian(g, "combinatorial"))
+        comb = eig_sym(lap)
         r_tot = float(n * np.sum(1.0 / comb[1:]))
     else:
         r_tot = math.inf
-    degrees = g.degrees()
+    _to_normalized(lap, deg)
+    evals = eig_sym(lap)
+    evals = np.where(np.abs(evals) < ZERO_EIGENVALUE_CUTOFF, 0.0, evals)
+    gap = float(evals[1]) if n >= 2 and connected else 0.0
     return SpectralReport(
         eigenvalues=tuple(float(v) for v in evals),
         spectral_gap=gap,
@@ -161,7 +259,7 @@ def analyze(g: UGraph) -> SpectralReport:
         cheeger_upper=math.sqrt(2.0 * gap),
         diameter=diameter,
         r_tot=r_tot,
-        isolated_count=sum(1 for d in degrees if d == 0),
+        isolated_count=int(np.count_nonzero(deg == 0)),
     )
 
 

@@ -499,17 +499,19 @@ class TestTrainCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_run_is_listed_as_failed(self, capsys, cache_dir, tmp_path):
         # One Adam step at this rate leaves finite parameters whose logits
-        # overflow; the run must not be reported as a curve row.
+        # overflow; the run must not be reported as a curve row, and a
+        # command with a failed run exits 3 after writing its outputs.
         out_file = tmp_path / "c.csv"
-        code, out, _ = run(
+        code, out, err = run(
             ["train", "--structures", "Empty", "--seeds", "0", "--train-sizes", "20",
              "--test-size", "5", "--epochs", "1", "--learning-rate", "1e300",
              "--out", str(out_file), "--cache-dir", cache_dir,
              "--manifest", str(tmp_path / "m.json")],
             capsys,
         )
-        assert code == 0
+        assert code == 3
         assert "1 failed runs" in out
+        assert "failed Empty seed 0 train size 20" in err
         assert out_file.read_text() == "structure,train_size,seed,train_error,test_error\n"
         manifest = json.loads((tmp_path / "m.json").read_text())
         assert manifest["failed_runs"] == [

@@ -16,6 +16,7 @@ from cayleyprop.graphcore import (
     relabel_nodes,
     star_graph,
 )
+from cayleyprop.spectral import diameter_bfs
 
 # seed-pinned regression value recorded at first build
 ER_20_HALF_SEED_1234_EDGES = 97
@@ -26,6 +27,11 @@ class TestUGraph:
         n = DENSE_NODE_CAP + 1
         with pytest.raises(ValueError, match=f"{n} nodes.*{DENSE_NODE_CAP}"):
             UGraph(n).adjacency_matrix()
+
+    def test_diameter_over_the_dense_cap_rejected(self):
+        n = DENSE_NODE_CAP + 1
+        with pytest.raises(ValueError, match=f"{n} nodes.*{DENSE_NODE_CAP}"):
+            diameter_bfs(UGraph(n))
 
     def test_adjacency_consistent_with_edges(self):
         g = UGraph(4, [(0, 1), (1, 2), (0, 3)])

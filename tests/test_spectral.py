@@ -10,8 +10,10 @@ from cayleyprop.graphcore import (
     disjoint_union,
     gen_graph,
     induced_prefix_subgraph,
+    star_graph,
 )
 from cayleyprop.spectral import (
+    EIG_TOL,
     analyze,
     cheeger_constant_bruteforce,
     diameter_bfs,
@@ -126,6 +128,62 @@ class TestAnalyze:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             analyze(UGraph(0))
+
+    def test_one_adjacency_per_graph(self, monkeypatch):
+        built = []
+        original = UGraph.adjacency_matrix
+
+        def counted(self, *args, **kwargs):
+            built.append(self.node_count)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(UGraph, "adjacency_matrix", counted)
+        graphs = [build_cayley(3).graph, PATH3, disjoint_union([TRIANGLE, EDGE]), UGraph(1)]
+        for g in graphs:
+            analyze(g)
+        assert built == [g.node_count for g in graphs]
+
+
+class TestEigenvalueOnlyLaplacianSolve:
+    """eig_sym solves a combinatorial Laplacian without eigenvectors; the
+    eigenvector residual form is its oracle."""
+
+    def test_matches_the_residual_form_on_every_connected_cayley_prefix(self):
+        for n in range(2, 7):
+            full = build_cayley(n).graph
+            for v in range(2, full.node_count + 1):
+                g = induced_prefix_subgraph(full, v)
+                assert g.is_connected()
+                lap = laplacian(g, "combinatorial")
+                norm = np.linalg.norm(lap)
+                w, q = np.linalg.eigh(lap)
+                assert np.linalg.norm(lap @ q - q * w) <= EIG_TOL * norm
+                np.testing.assert_allclose(
+                    eig_sym(lap), w, rtol=0, atol=1e-9 * norm, err_msg=f"n={n} v={v}"
+                )
+
+    # Each perturbation moves eigenvalues by 1e-6 ||L||_F and is caught by
+    # the named check, the first of the three that it breaks.
+    @pytest.mark.parametrize(
+        "moves, check",
+        [
+            ({0: -1.0}, "smallest eigenvalue"),
+            ({-1: 1.0}, "sum"),
+            ({-1: 1.0, 1: -1.0}, "sum of squares"),
+        ],
+        ids=["smallest", "sum", "sum-of-squares"],
+    )
+    def test_perturbed_spectrum_is_rejected(self, moves, check, monkeypatch):
+        g = induced_prefix_subgraph(build_cayley(5).graph, 100)
+        lap = laplacian(g, "combinatorial")
+        mu = eig_sym(lap)
+        for i, sign in moves.items():
+            mu[i] += sign * 1e-6 * np.linalg.norm(lap)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: mu)
+        with pytest.raises(RuntimeError, match=f"spectrum {check} is off"):
+            eig_sym(lap)
+        # The normalized Laplacian keeps the eigenvector solve.
+        eig_sym(laplacian(g, "normalized"))
 
 
 def _component_count(g):
@@ -242,7 +300,7 @@ class TestDiameterOracle:
     def test_seeded_er_graphs(self):
         found = []
         for seed in range(30):
-            for n, p in ((12, 0.15), (30, 0.1), (60, 0.06)):
+            for n, p in ((12, 0.15), (30, 0.1), (60, 0.06), (20, 0.5), (60, 0.5)):
                 g = gen_graph("ER", n, seed, p=p)
                 d = diameter_bfs(g)
                 assert d == diameter_per_source(g), (n, seed)
@@ -256,6 +314,23 @@ class TestDiameterOracle:
         for n in (3, 4, 11, 40):
             cycle = UGraph(n, [(i, (i + 1) % n) for i in range(n)])
             assert diameter_bfs(cycle) == n // 2
+        # The kernel's inner loop runs once per degree slot: a hub gives many
+        # slots over few rows, a complete graph many slots over every row.
+        for n in (2, 3, 9, 400):
+            g = star_graph(n)
+            assert diameter_bfs(g) == diameter_per_source(g) == min(n - 1, 2)
+        for n in (2, 5, 30):
+            g = complete_graph(n)
+            assert diameter_bfs(g) == diameter_per_source(g) == 1
+        for leaves, length in ((1, 1), (5, 10), (60, 40)):
+            # Node 0 joined to leaves 1..leaves and to the first node of a
+            # path of `length` nodes.
+            hub = UGraph(
+                1 + leaves + length,
+                [(0, i) for i in range(1, leaves + 2)]
+                + [(i, i + 1) for i in range(leaves + 1, leaves + length)],
+            )
+            assert diameter_bfs(hub) == diameter_per_source(hub) == length + 1
 
     def test_edgeless_and_degenerate_sizes(self):
         assert diameter_bfs(UGraph(0)) is None
@@ -263,6 +338,14 @@ class TestDiameterOracle:
         for n in (2, 5):
             assert diameter_bfs(UGraph(n)) is None
             assert diameter_bfs(UGraph(n, self_loops=range(n))) is None
+        # One isolated node first, last or in the middle of a connected rest.
+        for g in (
+            disjoint_union([UGraph(1), complete_graph(6)]),
+            disjoint_union([star_graph(7), UGraph(1)]),
+            disjoint_union([PATH3, UGraph(1), TRIANGLE]),
+        ):
+            assert diameter_bfs(g) is None
+            assert diameter_per_source(g) is None
 
     def test_self_loops_are_ignored(self):
         for seed in range(5):
