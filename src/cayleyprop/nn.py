@@ -9,15 +9,17 @@ exact gradient checks matter more than large-scale training tricks.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .cayley import CayleyCache, build_cayley
 from .graphcore import UGraph, gen_graph, star_graph
-from .propagation import PropagationPlan, build_plan, extend_features
+from .propagation import SCHEMES, PropagationPlan, build_plan, extend_features
 
 LAYER_KINDS = ("gin", "gcn")
 
@@ -163,6 +165,38 @@ def _layer_operator(g: UGraph, kind: str) -> np.ndarray:
     return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
+# The operators of the training run in progress, keyed by (id(template),
+# kind); None outside _operator_memo. Each entry also holds its template, so
+# the id cannot pass to another graph while the entry exists.
+_run_operators: ContextVar[dict | None] = ContextVar("_run_operators", default=None)
+
+
+@contextlib.contextmanager
+def _operator_memo():
+    """Build each (template, kind) operator once inside the block; drop them
+    all when it ends."""
+    token = _run_operators.set({})
+    try:
+        yield
+    finally:
+        _run_operators.reset(token)
+
+
+def _operator(g: UGraph, kind: str) -> np.ndarray:
+    """The layer operator of g: the run's shared, read-only copy inside
+    _operator_memo, a fresh build outside it."""
+    memo = _run_operators.get()
+    if memo is None:
+        return _layer_operator(g, kind)
+    key = (id(g), kind)
+    entry = memo.get(key)
+    if entry is None:
+        op = _layer_operator(g, kind)
+        op.flags.writeable = False
+        entry = memo[key] = (g, op)
+    return entry[1]
+
+
 def layer_forward(x: np.ndarray, g: UGraph, p) -> np.ndarray:
     """One GIN or GCN layer (as p.kind says) over the graph g."""
     out, _ = _layer_forward(x, _layer_operator(g, p.kind), p)
@@ -251,7 +285,7 @@ def _forward_cached(plan: PropagationPlan, params: ModelParams, x: np.ndarray):
     h = extend_features(x, plan.extended_count)
     caches = []
     for layer, g in zip(params.layers, plan.layer_graphs):
-        op = _layer_operator(g, layer.kind)
+        op = _operator(g, layer.kind)
         h, cache = _layer_forward(h, op, layer)
         caches.append((layer, op, cache))
     z = readout(plan, params, h)
@@ -428,7 +462,9 @@ def gen_sum_task(
         shared = _shared_structure_graph(structure, rows)
         samples = []
         for _ in range(count):
-            x = feat_rng.standard_normal((pool_rows, SUM_TASK_FEATURE_DIM))[:rows]
+            # Copied out, so a sample does not keep the unused pool rows alive.
+            pool = feat_rng.standard_normal((pool_rows, SUM_TASK_FEATURE_DIM))
+            x = pool[:rows].copy()
             g = shared if shared is not None else _sampled_structure_graph(
                 structure, rows, graph_rng
             )
@@ -492,6 +528,14 @@ class TrainConfig:
             raise ValueError("hidden_dim and num_layers must be positive")
         if not self.train_sizes or min(self.train_sizes) < 1:
             raise ValueError("train_sizes must hold at least one size, each >= 1")
+        if self.layer_kind not in LAYER_KINDS:
+            raise ValueError(
+                f"unknown layer kind {self.layer_kind!r}; expected one of {LAYER_KINDS}"
+            )
+        if self.scheme not in SCHEMES:
+            raise ValueError(
+                f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"
+            )
 
 
 @dataclass(frozen=True)
@@ -521,17 +565,28 @@ def error_rate(
     return wrong / len(samples)
 
 
+@_operator_memo()
 def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[CurveRow]:
     """Learning curve over config.train_sizes on nested training subsets.
 
     plan_builder maps a graph to its PropagationPlan; equal graphs share one
-    plan. A run whose loss, gradients, final parameters or evaluation logits
-    stop being finite is recorded as failed and does not stop the remaining
-    sizes.
+    plan, and every plan must follow config.scheme. Each layer operator is
+    built once per (template, kind) and dropped when the call returns. A run
+    whose loss, gradients, final parameters or evaluation logits stop being
+    finite is recorded as failed and does not stop the remaining sizes.
     """
     if not dataset.test:
         raise ValueError("the dataset has no test samples")
-    plan_for = functools.cache(plan_builder)
+
+    @functools.cache
+    def plan_for(g: UGraph) -> PropagationPlan:
+        plan = plan_builder(g)
+        if plan.scheme != config.scheme:
+            raise ValueError(
+                f"the plan builder gives {plan.scheme} plans, the config names "
+                f"scheme {config.scheme}"
+            )
+        return plan
 
     test_plans = [plan_for(s.graph) for s in dataset.test]
     feature_dim = dataset.train[0].features.shape[1] if dataset.train else 0

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -7,7 +8,10 @@ import pytest
 
 from cayleyprop.cayley import CayleyCache
 from cayleyprop.graphcore import UGraph, gen_graph, relabel_nodes, star_graph
+from cayleyprop import nn
 from cayleyprop.nn import (
+    LAYER_KINDS,
+    SUM_TASK_STRUCTURES,
     AdamState,
     GINLayerParams,
     ModelParams,
@@ -29,7 +33,7 @@ from cayleyprop.nn import (
     train,
 )
 from cayleyprop.nn import GCNLayerParams, _forward_cached, _loss_and_dz
-from cayleyprop.propagation import build_plan
+from cayleyprop.propagation import SCHEMES, build_plan
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +321,42 @@ class TestLossAndGrads:
         with pytest.raises(ValueError):
             loss_and_grads([plan, plan], params, [(np.ones((2, 2)), 1.0)])
 
+    @pytest.mark.parametrize("num_layers", [1, 3])
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_training_path_matches_per_sample_oracle(
+        self, cache, scheme, kind, num_layers
+    ):
+        # The run memo shares one operator per (template, kind) across the
+        # batch; the oracle builds every operator afresh per sample. Loss and
+        # every gradient must agree bit for bit, on a cold and a warm memo.
+        graphs = [gen_graph("BA", 20, seed, m=2) for seed in range(5)]
+        plans = [build_plan(g, scheme, num_layers, cache=cache) for g in graphs]
+        if scheme in ("CGP", "CGPLast", "CGPEvery"):
+            assert len({id(p.cayley_template) for p in plans}) == 1
+        rng = np.random.default_rng(8)
+        params = init_params(rng, kind, 6, 5, num_layers)
+        batch = [(rng.standard_normal((20, 6)), float(i % 2)) for i in range(5)]
+
+        total = 0.0
+        expected = nn.zero_grads(params)
+        for plan, (x, label) in zip(plans, batch):
+            value, grads, _ = sample_gradients(plan, params, x, label)
+            total += value
+            for name, g in grads.items():
+                expected[name] += g
+        scale = 1.0 / len(batch)
+        for name in expected:
+            expected[name] *= scale
+
+        with nn._operator_memo():
+            for _ in range(2):
+                loss, grads = loss_and_grads(plans, params, batch)
+                assert loss == total * scale
+                assert grads.keys() == expected.keys()
+                for name, g in grads.items():
+                    assert g.tobytes() == expected[name].tobytes(), name
+
 
 class TestAdam:
     def test_zero_gradient_is_noop(self):
@@ -401,6 +441,25 @@ class TestSumTask:
         with pytest.raises(ValueError):
             gen_sum_task("Tree", 5, seed=0)
 
+    # SHA-256 of every feature matrix of gen_sum_task(s, 6, 2, test_size=3),
+    # train then test, recorded before the rows were copied out of the pool.
+    FEATURE_SHA256 = {
+        "Empty": "f9e4f3f303badba5f828e29320c0e5354dba98c95432395dedaca561c4a3af7d",
+        "Cayley24": "cc6309a02ecee04f25c5e6638283de31aadbd28861d93bc8e72c15382844f32c",
+        "Star": "f9e4f3f303badba5f828e29320c0e5354dba98c95432395dedaca561c4a3af7d",
+        "BA": "f9e4f3f303badba5f828e29320c0e5354dba98c95432395dedaca561c4a3af7d",
+        "GNP": "f9e4f3f303badba5f828e29320c0e5354dba98c95432395dedaca561c4a3af7d",
+    }
+
+    @pytest.mark.parametrize("structure", SUM_TASK_STRUCTURES)
+    def test_features_own_their_rows(self, structure):
+        # A view into the 24-row draw would keep its unused rows alive.
+        ds = gen_sum_task(structure, 6, 2, test_size=3)
+        samples = ds.train + ds.test
+        assert all(s.features.base is None for s in samples)
+        digest = hashlib.sha256(b"".join(s.features.tobytes() for s in samples))
+        assert digest.hexdigest() == self.FEATURE_SHA256[structure]
+
 
 class TestTrain:
     def test_learning_curve_smoke(self):
@@ -479,6 +538,61 @@ class TestTrain:
         with pytest.raises(ValueError, match="no test samples"):
             train(counting_builder, ds, config)
         assert built == []
+
+    @pytest.mark.parametrize(
+        "field, value", [("scheme", "cgp"), ("scheme", "GIN"), ("layer_kind", "gat")]
+    )
+    def test_config_rejects_unknown_scheme_or_layer_kind(self, field, value):
+        with pytest.raises(ValueError, match=f"unknown {field.replace('_', ' ')}"):
+            TrainConfig(**{field: value})
+
+    def test_plan_scheme_must_match_config(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(nn, "loss_and_grads", lambda *a: steps.append(a))
+        ds = gen_sum_task("BA", 4, seed=0, test_size=2)
+        config = TrainConfig(epochs=1, hidden_dim=4, scheme="CGP", train_sizes=(4,))
+        with pytest.raises(ValueError, match="Base plans.*scheme CGP"):
+            train(scheme_plan_builder("Base", 1), ds, config)
+        assert steps == []
+
+
+class TestOperatorMemo:
+    def test_one_build_per_template_and_kind_per_run(self, cache, monkeypatch):
+        built = []
+        adjacency = UGraph.adjacency_matrix
+
+        def counting_adjacency(g, *args, **kwargs):
+            built.append(g)
+            return adjacency(g, *args, **kwargs)
+
+        monkeypatch.setattr(UGraph, "adjacency_matrix", counting_adjacency)
+        ds = gen_sum_task("BA", 12, seed=4, test_size=5)
+        config = TrainConfig(
+            epochs=2,
+            batch_size=4,
+            seed=4,
+            hidden_dim=4,
+            num_layers=2,
+            scheme="CGP",
+            train_sizes=(6, 12),
+        )
+        plans = []
+
+        def recording_builder(g):
+            plans.append(build_plan(g, "CGP", 2, cache=cache))
+            return plans[-1]
+
+        rows = train(recording_builder, ds, config)
+        templates = {id(g) for p in plans for g in p.layer_graphs}
+        (cayley,) = {id(p.cayley_template) for p in plans}
+        assert len(built) == len(templates) == len(plans) + 1
+        assert [id(g) for g in built].count(cayley) == 1
+        assert nn._run_operators.get() is None
+
+        # Nothing outlives a run: a second run builds every operator again.
+        built.clear()
+        assert train(scheme_plan_builder("CGP", 2, cache=cache), ds, config) == rows
+        assert len(built) == len(templates)
 
 
 class TestCheckpoint:
