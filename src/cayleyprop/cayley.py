@@ -72,6 +72,13 @@ def smallest_modulus(v: int) -> int:
     """Least n >= 2 whose group order reaches v nodes."""
     if v < 1:
         raise ValueError(f"target node count must be >= 1, got {v}")
+    # The scan below costs O(sqrt(v)) trial divisions, and no graph over the
+    # budget is ever built.
+    if v > DEFAULT_VERTEX_BUDGET:
+        raise ValueError(
+            f"target node count {v} exceeds the vertex budget of "
+            f"{DEFAULT_VERTEX_BUDGET}"
+        )
     n = 2
     while sl2_order(n) < v:
         n += 1

@@ -234,6 +234,8 @@ def cmd_rewire(args) -> int:
 
 def cmd_train(args) -> int:
     structures = [s.strip() for s in args.structures.split(",") if s.strip()]
+    if not structures:
+        raise UsageError(f"expected a non-empty structure list, got {args.structures!r}")
     for s in structures:
         if s not in SUM_TASK_STRUCTURES:
             raise UsageError(

@@ -1,4 +1,4 @@
-"""Undirected graph container, edge-list I/O, random generators, d-patterns.
+"""Undirected graph container, edge-list I/O and random generators.
 
 Graphs are simple: ordinary edges join distinct nodes and duplicates are
 rejected. Self-edges exist only through the explicit ``self_loops`` set, so
@@ -8,7 +8,7 @@ algorithms can include or exclude them deliberately.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -85,13 +85,6 @@ class UGraph:
             self._adj = tuple(tuple(l) for l in lists)
         return self._adj
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adj[u]
-
-    def degree(self, u: int) -> int:
-        """Number of ordinary incident edges (self-loops not counted)."""
-        return len(self.adj[u])
-
     def degrees(self) -> list[int]:
         return [len(nbrs) for nbrs in self.adj]
 
@@ -110,6 +103,7 @@ class UGraph:
                 a[u, u] = 1.0
         return a
 
+    # perfbench/spans.py traces this name; the tracer fails without it.
     def bfs_distances(self, source: int) -> list[int]:
         """Hop distances from source; -1 marks unreachable nodes."""
         dist = [-1] * self.node_count
@@ -124,11 +118,6 @@ class UGraph:
                     dist[v] = du + 1
                     queue.append(v)
         return dist
-
-    def is_connected(self) -> bool:
-        if self.node_count == 0:
-            return True
-        return -1 not in self.bfs_distances(0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UGraph):
@@ -158,17 +147,6 @@ def star_graph(n: int) -> UGraph:
     return UGraph(n, [(0, v) for v in range(1, n)])
 
 
-def relabel_nodes(g: UGraph, perm: Sequence[int]) -> UGraph:
-    """Apply a permutation: node u of g becomes node perm[u]."""
-    if sorted(perm) != list(range(g.node_count)):
-        raise ValueError("perm is not a permutation of the node ids")
-    return UGraph(
-        g.node_count,
-        [(perm[u], perm[v]) for u, v in g.edges],
-        [perm[u] for u in g.self_loops],
-    )
-
-
 def induced_prefix_subgraph(g: UGraph, v: int) -> UGraph:
     """Induced subgraph on nodes 0..v-1 (flagged self-loops kept)."""
     if not 1 <= v <= g.node_count:
@@ -180,19 +158,6 @@ def induced_prefix_subgraph(g: UGraph, v: int) -> UGraph:
         [(a, b) for a, b in g.edges if a < v and b < v],
         [u for u in g.self_loops if u < v],
     )
-
-
-def disjoint_union(graphs: Sequence[UGraph]) -> UGraph:
-    """Union with node ids offset block by block, in the given order."""
-    total = sum(g.node_count for g in graphs)
-    edges: list[tuple[int, int]] = []
-    loops: list[int] = []
-    offset = 0
-    for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges)
-        loops.extend(u + offset for u in g.self_loops)
-        offset += g.node_count
-    return UGraph(total, edges, loops)
 
 
 # ---------------------------------------------------------------------------
@@ -341,48 +306,3 @@ def _gen_ba(n: int, m: int, seed: int) -> UGraph:
             degree[u] += 1
             degree[new] += 1
     return UGraph(n, edges)
-
-
-# ---------------------------------------------------------------------------
-# d-patterns (iterated neighborhood label refinement)
-# ---------------------------------------------------------------------------
-
-
-def d_pattern_levels(
-    g: UGraph, colors: Sequence[int], depth: int
-) -> list[list[int]]:
-    """Pattern ids per node for every depth 0..depth.
-
-    Depth 0 ids are the initial labels themselves. At depth k >= 1 a node's
-    descriptor is (own (k-1)-id, sorted tuple of neighbor (k-1)-ids); the
-    distinct descriptors of a level are sorted and numbered from 0, so the
-    ids are canonical given the descriptor set. A flagged self-loop makes a
-    node its own neighbor once. Refinement is monotone: equal ids at depth
-    k+1 imply equal ids at depth k.
-    """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    if len(colors) != g.node_count:
-        raise ValueError(
-            f"got {len(colors)} labels for {g.node_count} nodes"
-        )
-    current = [int(c) for c in colors]
-    levels = [list(current)]
-    adj = g.adj
-    for _ in range(depth):
-        descriptors = []
-        for u in range(g.node_count):
-            nbr = [current[v] for v in adj[u]]
-            if u in g.self_loops:
-                nbr.append(current[u])
-            nbr.sort()
-            descriptors.append((current[u], tuple(nbr)))
-        ranking = {desc: i for i, desc in enumerate(sorted(set(descriptors)))}
-        current = [ranking[desc] for desc in descriptors]
-        levels.append(list(current))
-    return levels
-
-
-def d_patterns(g: UGraph, colors: Sequence[int], depth: int) -> list[int]:
-    """Pattern ids at the requested depth (see d_pattern_levels)."""
-    return d_pattern_levels(g, colors, depth)[-1]

@@ -8,9 +8,6 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-
-BRUTEFORCE_MAX_MODULUS = 20
 
 
 @dataclass(frozen=True)
@@ -44,12 +41,10 @@ class Mat2Z:
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
+    # Group arithmetic: kept beside mat_mul though only the tests call it.
     def inverse(self) -> "Mat2Z":
         # det == 1, so the adjugate is the inverse.
         return Mat2Z(self.d, -self.b, -self.c, self.a, self.n)
-
-    def __matmul__(self, other: "Mat2Z") -> "Mat2Z":
-        return mat_mul(self, other)
 
 
 def mat_mul(x: Mat2Z, y: Mat2Z) -> Mat2Z:
@@ -94,24 +89,6 @@ def sl2_order(n: int) -> int:
         # p^2 divides n^3 for every prime p | n, so this stays exact.
         order = order // (p * p) * (p * p - 1)
     return order
-
-
-def enumerate_sl2_bruteforce(n: int) -> list[Mat2Z]:
-    """All elements of SL(2, Z_n) by exhaustive determinant check.
-
-    Independent of sl2_order: scans all n^4 candidate matrices in
-    lexicographic (a, b, c, d) order. Intended as an oracle at small n.
-    """
-    if not 2 <= n <= BRUTEFORCE_MAX_MODULUS:
-        raise ValueError(
-            f"brute-force enumeration supports 2 <= n <= "
-            f"{BRUTEFORCE_MAX_MODULUS}, got {n}"
-        )
-    elements = []
-    for a, b, c, d in product(range(n), repeat=4):
-        if (a * d - b * c) % n == 1:
-            elements.append(Mat2Z(a, b, c, d, n))
-    return elements
 
 
 def generators(n: int) -> list[Mat2Z]:

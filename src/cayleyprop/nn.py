@@ -197,12 +197,6 @@ def _operator(g: UGraph, kind: str) -> np.ndarray:
     return entry[1]
 
 
-def layer_forward(x: np.ndarray, g: UGraph, p) -> np.ndarray:
-    """One GIN or GCN layer (as p.kind says) over the graph g."""
-    out, _ = _layer_forward(x, _layer_operator(g, p.kind), p)
-    return out
-
-
 def _layer_forward(x, op, p):
     """Layer output and the cache for _layer_backward; the cache always ends
     with the ReLU pre-activation."""
@@ -307,6 +301,7 @@ def _backward(plan: PropagationPlan, params: ModelParams, caches, h_final, dz):
     return grads, dh  # dh is the gradient w.r.t. the extended features
 
 
+# No command calls this yet: it is to be reported by `train --trace`.
 def relu_kink_margin(plan: PropagationPlan, params: ModelParams, x: np.ndarray) -> float:
     """Smallest |pre-activation| across every ReLU in the forward pass.
 
@@ -645,32 +640,3 @@ def scheme_plan_builder(scheme: str, num_layers: int, cache: CayleyCache | None 
         return build_plan(g, scheme, num_layers, cache=cache)
 
     return builder
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints: flat JSON list of named row-major tensors
-# ---------------------------------------------------------------------------
-
-
-def params_to_json_obj(params: ModelParams) -> list[dict]:
-    return [
-        {"name": name, "shape": list(arr.shape), "data": arr.ravel().tolist()}
-        for name, arr in params.arrays()
-    ]
-
-
-def params_from_json_obj(obj: list[dict]) -> ModelParams:
-    tensors = {
-        entry["name"]: np.asarray(entry["data"], dtype=np.float64).reshape(
-            entry["shape"]
-        )
-        for entry in obj
-    }
-    layers = []
-    i = 0
-    while any(name.startswith(f"layers.{i}.") for name in tensors):
-        cls = GINLayerParams if f"layers.{i}.gin.w1" in tensors else GCNLayerParams
-        prefix = f"layers.{i}.{cls.kind}."
-        layers.append(cls(**{f.name: tensors[prefix + f.name] for f in fields(cls)}))
-        i += 1
-    return ModelParams(layers, tensors["readout.w"], tensors["readout.b"])

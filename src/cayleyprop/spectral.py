@@ -1,5 +1,5 @@
 """Bottleneck diagnostics: Laplacians, spectral gap, Cheeger bounds, diameter,
-effective resistance, Dirichlet energy, and the truncation sweep.
+total effective resistance, Dirichlet energy, and the truncation sweep.
 
 All spectral quantities ignore flagged self-loops: they carry no structural
 information for cuts or distances, and keeping them out makes reports on
@@ -19,7 +19,6 @@ from .graphcore import DENSE_NODE_CAP, UGraph, induced_prefix_subgraph
 
 EIG_TOL = 1e-10
 ZERO_EIGENVALUE_CUTOFF = 1e-8
-CHEEGER_BRUTEFORCE_MAX_NODES = 20
 
 SWEEP_CSV_HEADER = (
     "v,modulus,is_complete,spectral_gap,cheeger_lower,cheeger_upper,"
@@ -263,62 +262,7 @@ def analyze(g: UGraph) -> SpectralReport:
     )
 
 
-def effective_resistance_pair(g: UGraph, u: int, v: int) -> float:
-    """Electrical resistance between u and v via the pseudoinverse of D - A.
-
-    R(u, v) = (1_u - 1_v)^T L^+ (1_u - 1_v). Used as the per-pair oracle for
-    the total-resistance eigenvalue formula.
-    """
-    if u == v:
-        raise ValueError("effective resistance requires two distinct nodes")
-    if not (0 <= u < g.node_count and 0 <= v < g.node_count):
-        raise ValueError(f"nodes ({u}, {v}) out of range")
-    if not g.is_connected():
-        raise ValueError("effective resistance is undefined on a disconnected graph")
-    pinv = np.linalg.pinv(laplacian(g, "combinatorial"))
-    z = np.zeros(g.node_count)
-    z[u] = 1.0
-    z[v] = -1.0
-    return float(z @ pinv @ z)
-
-
-def cheeger_constant_bruteforce(g: UGraph) -> float:
-    """Exact Cheeger constant by exhaustive subset enumeration.
-
-    h(G) = min over cuts of |E(S, comp S)| / min(vol S, vol comp S) with
-    vol measured in degrees. Exponential; guarded to small graphs.
-    """
-    n = g.node_count
-    if n > CHEEGER_BRUTEFORCE_MAX_NODES:
-        raise ValueError(
-            f"exhaustive Cheeger limited to {CHEEGER_BRUTEFORCE_MAX_NODES} "
-            f"nodes, got {n}"
-        )
-    if n < 2:
-        raise ValueError("Cheeger constant needs at least two nodes")
-    degrees = g.degrees()
-    total_vol = sum(degrees)
-    best = math.inf
-    # Vertex n-1 stays outside S, which halves the enumeration without
-    # losing any cut.
-    for mask in range(1, 1 << (n - 1)):
-        vol = 0
-        for u in range(n - 1):
-            if mask >> u & 1:
-                vol += degrees[u]
-        small = min(vol, total_vol - vol)
-        if small == 0:
-            continue
-        boundary = 0
-        for a, b in g.edges:
-            in_a = a < n - 1 and mask >> a & 1
-            in_b = b < n - 1 and mask >> b & 1
-            if in_a != in_b:
-                boundary += 1
-        best = min(best, boundary / small)
-    return best
-
-
+# No command calls this yet: it is to be reported per layer by `train --trace`.
 def dirichlet_energy(g: UGraph, x: np.ndarray) -> float:
     """trace(X^T L_norm X) / |V|; zero iff X is smooth along every edge."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -355,6 +299,11 @@ def expansion_sweep(
     complete."""
     if v_min < 2:
         raise ValueError(f"v_min must be >= 2, got {v_min}")
+    # Fail before the first row, not after hours of rows below the cap.
+    if v_max >= v_min and v_max > DENSE_NODE_CAP:
+        raise ValueError(
+            f"v_max {v_max} exceeds the dense cap of {DENSE_NODE_CAP} nodes"
+        )
     cache = cache or CayleyCache()
     rows = []
     for v in range(v_min, v_max + 1):

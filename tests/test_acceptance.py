@@ -17,15 +17,8 @@ import numpy as np
 import pytest
 
 from cayleyprop.cayley import CayleyCache, build_cayley
-from cayleyprop.graphcore import (
-    UGraph,
-    d_pattern_levels,
-    disjoint_union,
-    gen_graph,
-    induced_prefix_subgraph,
-    relabel_nodes,
-)
-from cayleyprop.modgroup import enumerate_sl2_bruteforce, sl2_order
+from cayleyprop.graphcore import UGraph, gen_graph, induced_prefix_subgraph
+from cayleyprop.modgroup import sl2_order
 from cayleyprop.nn import (
     TrainConfig,
     gen_sum_task,
@@ -39,11 +32,15 @@ from cayleyprop.nn import (
 )
 from cayleyprop.nn import _forward_cached, _loss_and_dz
 from cayleyprop.propagation import build_plan
-from cayleyprop.spectral import (
-    analyze,
+from cayleyprop.spectral import analyze, expansion_sweep
+from oracles import (
     cheeger_constant_bruteforce,
+    d_pattern_levels,
+    disjoint_union,
     effective_resistance_pair,
-    expansion_sweep,
+    enumerate_sl2_bruteforce,
+    is_connected,
+    relabel_nodes,
 )
 
 BASELINE_PATH = Path(__file__).parent / "data" / "sum_task_baseline.json"
@@ -67,7 +64,7 @@ def cache(tmp_path_factory):
 def connected_er(n, seed, p):
     for s in range(seed, seed + 200):
         g = gen_graph("ER", n, s, p=p)
-        if g.is_connected():
+        if is_connected(g):
             return g
     raise AssertionError(f"no connected ER({n}, {p}) found from seed {seed}")
 

@@ -1,8 +1,11 @@
 import hashlib
+import time
 
 import pytest
 
+from cayleyprop import cayley
 from cayleyprop.cayley import (
+    DEFAULT_VERTEX_BUDGET,
     CayleyCache,
     build_cayley,
     smallest_modulus,
@@ -10,6 +13,7 @@ from cayleyprop.cayley import (
 from cayleyprop.graphcore import emit_edge_list, induced_prefix_subgraph
 from cayleyprop.modgroup import sl2_order
 from cayleyprop.spectral import analyze
+from oracles import is_connected
 
 # Regression anchor: the labelled BFS output is deterministic for the fixed
 # generator order, so the canonical edge list hashes to a constant.
@@ -23,7 +27,7 @@ class TestBuild:
         g = build_cayley(2).graph
         assert g.node_count == 6
         assert set(g.degrees()) == {2}
-        assert g.is_connected()
+        assert is_connected(g)
 
     def test_n3_figure_counts(self):
         cg = build_cayley(3)
@@ -42,10 +46,10 @@ class TestBuild:
         cg = build_cayley(n)
         assert cg.graph.node_count == sl2_order(n)
         # BFS labels the identity 0 and its generator neighbors 1..degree.
-        assert cg.graph.neighbors(0) == tuple(range(1, cg.degree + 1))
+        assert cg.graph.adj[0] == tuple(range(1, cg.degree + 1))
         assert set(cg.graph.degrees()) == {cg.degree}
         assert cg.graph.edge_count == cg.degree * cg.graph.node_count // 2
-        assert cg.graph.is_connected()
+        assert is_connected(cg.graph)
 
     def test_deterministic_edge_list(self):
         text = emit_edge_list(build_cayley(3).graph)
@@ -72,6 +76,22 @@ class TestSmallestModulus:
         with pytest.raises(ValueError):
             smallest_modulus(0)
 
+    def test_reaches_the_vertex_budget(self):
+        assert sl2_order(smallest_modulus(DEFAULT_VERTEX_BUDGET)) >= DEFAULT_VERTEX_BUDGET
+
+    def test_rejects_targets_over_the_budget_before_scanning(self, monkeypatch):
+        # The scan factorises every modulus up to ~v^(1/3): 13 minutes at
+        # v = 10^21. Over the budget it must not start.
+        def no_scan(n):
+            raise AssertionError(f"scanned modulus {n}")
+
+        monkeypatch.setattr(cayley, "sl2_order", no_scan)
+        t0 = time.perf_counter()
+        for v in (DEFAULT_VERTEX_BUDGET + 1, 10**21):
+            with pytest.raises(ValueError, match=f"{v}.*{DEFAULT_VERTEX_BUDGET}"):
+                smallest_modulus(v)
+        assert time.perf_counter() - t0 < 0.1
+
 
 class TestTruncate:
     def test_full_size_is_identity(self):
@@ -94,7 +114,7 @@ class TestTruncate:
         # every BFS vertex keeps its discovery parent
         cg = build_cayley(3)
         for v in range(2, 24):
-            assert induced_prefix_subgraph(cg.graph, v).is_connected()
+            assert is_connected(induced_prefix_subgraph(cg.graph, v))
 
     def test_truncated_gap_below_complete(self):
         cg = build_cayley(3)

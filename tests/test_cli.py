@@ -1,8 +1,10 @@
 import json
 import tempfile
+import time
 
 import pytest
 
+from cayleyprop import spectral
 from cayleyprop.cli import main
 from cayleyprop.graphcore import (
     DENSE_NODE_CAP,
@@ -75,13 +77,15 @@ class TestExitCodes:
             (TRAIN + ["--learning-rate", "nan"], 1),
             (TRAIN + ["--learning-rate", "inf"], 1),
             (TRAIN + ["--seeds=-1"], 1),
+            (TRAIN + ["--structures", ","], 1),
             (BENCH + ["--sizes", "0,10"], 1),
             (BENCH + ["--seed=-1"], 1),
             (["analyze", "empty.edgelist"], 2),
             (["rewire", "dataset.json", "--out-dir", "rewired"], 2),
         ],
         ids=["test-size", "train-sizes", "epochs", "batch-size", "hidden",
-             "learning-rate", "learning-rate-nan", "learning-rate-inf", "seeds", "bench-sizes", "bench-seed", "empty-graph",
+             "learning-rate", "learning-rate-nan", "learning-rate-inf", "seeds",
+             "structures-empty", "bench-sizes", "bench-seed", "empty-graph",
              "graphs-not-a-list"],
     )
     def test_bad_values_exit_with_documented_code(
@@ -264,6 +268,26 @@ class TestSweep:
             "v,modulus,is_complete,spectral_gap,cheeger_lower,cheeger_upper,"
             "diameter,r_tot"
         )
+
+    def test_v_max_over_the_dense_cap_writes_nothing(
+        self, capsys, cache_dir, tmp_path, monkeypatch
+    ):
+        def no_row(g):
+            raise AssertionError(f"analyzed a row of {g.node_count} nodes")
+
+        monkeypatch.setattr(spectral, "analyze", no_row)
+        out_file = tmp_path / "sweep.csv"
+        t0 = time.perf_counter()
+        code, _, err = run(
+            ["sweep", "--v-min", "6", "--v-max", str(DENSE_NODE_CAP + 1),
+             "--out", str(out_file), "--cache-dir", cache_dir,
+             "--manifest", str(tmp_path / "m.json")],
+            capsys,
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert str(DENSE_NODE_CAP + 1) in err and str(DENSE_NODE_CAP) in err
+        assert not out_file.exists()
 
     def test_identical_bytes_across_runs(self, capsys, cache_dir, tmp_path):
         outs = []

@@ -2,11 +2,11 @@ import pytest
 
 from cayleyprop.modgroup import (
     Mat2Z,
-    enumerate_sl2_bruteforce,
     generators,
     mat_mul,
     sl2_order,
 )
+from oracles import enumerate_sl2_bruteforce
 
 
 def M(a, b, c, d, n):

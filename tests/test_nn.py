@@ -1,13 +1,12 @@
 import dataclasses
 import hashlib
-import json
 import math
 
 import numpy as np
 import pytest
 
 from cayleyprop.cayley import CayleyCache
-from cayleyprop.graphcore import UGraph, gen_graph, relabel_nodes, star_graph
+from cayleyprop.graphcore import UGraph, gen_graph, star_graph
 from cayleyprop import nn
 from cayleyprop.nn import (
     LAYER_KINDS,
@@ -21,11 +20,8 @@ from cayleyprop.nn import (
     curve_to_csv,
     gen_sum_task,
     init_params,
-    layer_forward,
     loss_and_grads,
     model_forward,
-    params_from_json_obj,
-    params_to_json_obj,
     readout,
     relu_kink_margin,
     sample_gradients,
@@ -34,6 +30,7 @@ from cayleyprop.nn import (
 )
 from cayleyprop.nn import GCNLayerParams, _forward_cached, _loss_and_dz
 from cayleyprop.propagation import SCHEMES, build_plan
+from oracles import layer_forward, relabel_nodes
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +58,7 @@ def gin_loop_oracle(x, g, p):
     out = np.empty((n, p.b2.size))
     for u in range(n):
         agg = (1.0 + float(p.eps)) * x[u].copy()
-        for v in g.neighbors(u):
+        for v in g.adj[u]:
             agg = agg + x[v]
         if u in g.self_loops:
             agg = agg + x[u]
@@ -72,11 +69,11 @@ def gin_loop_oracle(x, g, p):
 
 def gcn_loop_oracle(x, g, p):
     n, _ = x.shape
-    deg = [g.degree(u) + 1 for u in range(n)]
+    deg = [len(g.adj[u]) + 1 for u in range(n)]
     out = np.empty((n, p.b.size))
     for u in range(n):
         acc = x[u] / deg[u]  # the added self-edge
-        for v in g.neighbors(u):
+        for v in g.adj[u]:
             acc = acc + x[v] / math.sqrt(deg[u] * deg[v])
         out[u] = np.maximum(acc @ p.w + p.b, 0.0)
     return out
@@ -430,7 +427,7 @@ class TestSumTask:
         assert gen_sum_task("Cayley24", 2, seed=0, test_size=1).train[0].graph.node_count == 24
         assert gen_sum_task("Empty", 2, seed=0, test_size=1).train[0].graph.edge_count == 0
         star = gen_sum_task("Star", 2, seed=0, test_size=1).train[0].graph
-        assert star.degree(0) == 19
+        assert len(star.adj[0]) == 19
 
     def test_labels_roughly_balanced(self):
         ds = gen_sum_task("Empty", 400, seed=11, test_size=1)
@@ -593,20 +590,3 @@ class TestOperatorMemo:
         built.clear()
         assert train(scheme_plan_builder("CGP", 2, cache=cache), ds, config) == rows
         assert len(built) == len(templates)
-
-
-class TestCheckpoint:
-    def test_round_trip(self):
-        params = init_params(np.random.default_rng(5), "gin", 3, 4, 2)
-        obj = params_to_json_obj(params)
-        text = json.dumps(obj)
-        restored = params_from_json_obj(json.loads(text))
-        for (n1, a1), (n2, a2) in zip(params.arrays(), restored.arrays()):
-            assert n1 == n2
-            np.testing.assert_array_equal(a1, a2)
-
-    def test_gcn_round_trip(self):
-        params = init_params(np.random.default_rng(6), "gcn", 3, 4, 2)
-        restored = params_from_json_obj(params_to_json_obj(params))
-        assert restored.layers[0].kind == "gcn"
-        np.testing.assert_array_equal(restored.layers[1].w, params.layers[1].w)

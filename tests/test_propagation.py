@@ -55,7 +55,7 @@ class TestExtendAdjacency:
         g = gen_graph("ER", 10, 3, p=0.5)
         ext = extend_input_adjacency(g, 24)
         assert ext.degrees()[:10] == g.degrees()
-        assert all(ext.degree(u) == 0 for u in range(10, 24))
+        assert all(len(ext.adj[u]) == 0 for u in range(10, 24))
 
     def test_shrink_rejected(self):
         with pytest.raises(ValueError):
@@ -67,7 +67,7 @@ class TestMasterNode:
         g = UGraph(3, [(0, 1)])
         m = master_node_graph(g)
         assert m.node_count == 4
-        assert m.degree(3) == 3
+        assert len(m.adj[3]) == 3
         assert (0, 1) in m.edges
 
 
@@ -108,7 +108,7 @@ class TestBuildPlan:
         plan = build_plan(g, "MasterNode", 2)
         assert plan.extended_count == 6
         assert all(k == "master" for k in plan.layer_kinds)
-        assert plan.layer_graphs[0].degree(5) == 5
+        assert len(plan.layer_graphs[0].adj[5]) == 5
 
     def test_fa_last(self):
         g = UGraph(4, [(0, 1)])

@@ -1,13 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from cayleyprop import spectral
 from cayleyprop.cayley import CayleyCache, build_cayley
 from cayleyprop.graphcore import (
+    DENSE_NODE_CAP,
     UGraph,
     complete_graph,
-    disjoint_union,
     gen_graph,
     induced_prefix_subgraph,
     star_graph,
@@ -15,14 +17,18 @@ from cayleyprop.graphcore import (
 from cayleyprop.spectral import (
     EIG_TOL,
     analyze,
-    cheeger_constant_bruteforce,
     diameter_bfs,
     dirichlet_energy,
-    effective_resistance_pair,
     eig_sym,
     expansion_sweep,
     laplacian,
     sweep_to_csv,
+)
+from oracles import (
+    cheeger_constant_bruteforce,
+    disjoint_union,
+    effective_resistance_pair,
+    is_connected,
 )
 
 TRIANGLE = UGraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -37,7 +43,7 @@ CAYLEY3_NORMALIZED_GAP = (3.0 - math.sqrt(3.0)) / 4.0
 def random_connected(n, seed, p=0.4):
     for s in range(seed, seed + 100):
         g = gen_graph("ER", n, s, p=p)
-        if g.is_connected():
+        if is_connected(g):
             return g
     raise AssertionError("no connected sample found")
 
@@ -153,7 +159,7 @@ class TestEigenvalueOnlyLaplacianSolve:
             full = build_cayley(n).graph
             for v in range(2, full.node_count + 1):
                 g = induced_prefix_subgraph(full, v)
-                assert g.is_connected()
+                assert is_connected(g)
                 lap = laplacian(g, "combinatorial")
                 norm = np.linalg.norm(lap)
                 w, q = np.linalg.eigh(lap)
@@ -199,7 +205,7 @@ def _component_count(g):
             if u in seen:
                 continue
             seen.add(u)
-            stack.extend(g.neighbors(u))
+            stack.extend(g.adj[u])
     return count
 
 
@@ -392,3 +398,18 @@ class TestSweep:
     def test_v_min_guard(self):
         with pytest.raises(ValueError):
             expansion_sweep(1, 5)
+
+    def test_v_max_over_the_dense_cap_fails_before_the_first_row(
+        self, tmp_path, monkeypatch
+    ):
+        def no_row(g):
+            raise AssertionError(f"analyzed a row of {g.node_count} nodes")
+
+        monkeypatch.setattr(spectral, "analyze", no_row)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{DENSE_NODE_CAP + 1}.*{DENSE_NODE_CAP}"):
+            expansion_sweep(6, DENSE_NODE_CAP + 1, cache=CayleyCache(tmp_path))
+        assert time.perf_counter() - t0 < 1.0
+        assert not any(tmp_path.iterdir())
+        # an empty range above the cap still yields no rows
+        assert expansion_sweep(DENSE_NODE_CAP + 2, DENSE_NODE_CAP + 1) == []
