@@ -101,6 +101,8 @@ class PropagationPlan:
         return (self.original_count, self.extended_count)
 
 
+# The training engine pads its stacks in place; this stays for the per-sample
+# test oracle and because perfbench/spans.py wraps it by name.
 def extend_features(x: np.ndarray, m: int) -> np.ndarray:
     """Pad a feature matrix to m rows with zero rows for the virtual nodes;
     the first rows are copied verbatim."""

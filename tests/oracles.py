@@ -2,9 +2,10 @@
 
 Brute-force and per-pair oracles for the diagnostics (group order, Cheeger
 constant, effective resistance), graph helpers that build test inputs
-(relabelling, disjoint unions, d-patterns, connectivity) and the standalone
-layer forward. None of them is on a command's code path, so they live here
-rather than in the package.
+(relabelling, disjoint unions, d-patterns, connectivity), the standalone
+layer forward and the per-sample training path that the stacked engine in
+`cayleyprop.nn` must match bit for bit. None of them is on a command's code
+path, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ import numpy as np
 
 from cayleyprop.graphcore import UGraph
 from cayleyprop.modgroup import Mat2Z
-from cayleyprop.nn import _layer_forward, _layer_operator
+from cayleyprop.nn import (
+    ModelParams,
+    _layer_operator,
+    _loss_and_dz,
+    _operator,
+    readout,
+)
+from cayleyprop.propagation import PropagationPlan, extend_features
 from cayleyprop.spectral import laplacian
 
 BRUTEFORCE_MAX_MODULUS = 20
@@ -184,7 +192,7 @@ def cheeger_constant_bruteforce(g: UGraph) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Layers
+# Layers and the per-sample training path
 # ---------------------------------------------------------------------------
 
 
@@ -192,3 +200,100 @@ def layer_forward(x: np.ndarray, g: UGraph, p) -> np.ndarray:
     """One GIN or GCN layer (as p.kind says) over the graph g."""
     out, _ = _layer_forward(x, _layer_operator(g, p.kind), p)
     return out
+
+
+def _layer_forward(x, op, p):
+    """Layer output and the cache for _layer_backward; the cache always ends
+    with the ReLU pre-activation."""
+    if x.shape[0] != op.shape[0]:
+        raise ValueError(
+            f"feature rows {x.shape[0]} do not match graph nodes {op.shape[0]}"
+        )
+    if p.kind == "gin":
+        z = (1.0 + float(p.eps)) * x + op @ x
+        pre = z @ p.w1 + p.b1
+        h = np.maximum(pre, 0.0)
+        out = h @ p.w2 + p.b2
+        return out, (x, z, h, pre)
+    sx = op @ x
+    pre = sx @ p.w + p.b
+    out = np.maximum(pre, 0.0)
+    return out, (sx, pre)
+
+
+def _layer_backward(dout, cache, op, p):
+    """Parameter gradients and the input gradient; op is symmetric, so it
+    is its own transpose."""
+    if p.kind == "gin":
+        x, z, h, pre = cache
+        grads = {
+            "w2": h.T @ dout,
+            "b2": dout.sum(axis=0),
+        }
+        dh = dout @ p.w2.T
+        dpre = dh * (pre > 0.0)
+        grads["w1"] = z.T @ dpre
+        grads["b1"] = dpre.sum(axis=0)
+        dz = dpre @ p.w1.T
+        grads["eps"] = np.asarray((dz * x).sum())
+        dx = (1.0 + float(p.eps)) * dz + op @ dz
+        return grads, dx
+    sx, pre = cache
+    dpre = dout * (pre > 0.0)
+    grads = {
+        "w": sx.T @ dpre,
+        "b": dpre.sum(axis=0),
+    }
+    dx = op @ (dpre @ p.w.T)
+    return grads, dx
+
+
+def _forward_cached(plan: PropagationPlan, params: ModelParams, x: np.ndarray):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[0] != plan.original_count:
+        raise ValueError(
+            f"feature rows {x.shape[0]} do not match plan original count "
+            f"{plan.original_count}"
+        )
+    if len(params.layers) != plan.num_layers:
+        raise ValueError(
+            f"model has {len(params.layers)} layers, plan schedules "
+            f"{plan.num_layers}"
+        )
+    h = extend_features(x, plan.extended_count)
+    caches = []
+    for layer, g in zip(params.layers, plan.layer_graphs):
+        op = _operator(g, layer.kind)
+        h, cache = _layer_forward(h, op, layer)
+        caches.append((layer, op, cache))
+    z = readout(plan, params, h)
+    return h, z, caches
+
+
+def _backward(plan: PropagationPlan, params: ModelParams, caches, h_final, dz):
+    grads = {}
+    s = h_final[: plan.original_count].sum(axis=0)
+    grads["readout.w"] = s * dz
+    grads["readout.b"] = np.asarray(dz)
+    dh = np.zeros_like(h_final)
+    dh[: plan.original_count] = params.readout_w * dz
+    for i in range(len(caches) - 1, -1, -1):
+        layer, op, cache = caches[i]
+        layer_grads, dh = _layer_backward(dh, cache, op, layer)
+        for name, g in layer_grads.items():
+            grads[f"layers.{i}.{layer.kind}.{name}"] = g
+    return grads, dh  # dh is the gradient w.r.t. the extended features
+
+
+def sample_gradients(
+    plan: PropagationPlan,
+    params: ModelParams,
+    x: np.ndarray,
+    label: float,
+):
+    """BCE loss, parameter gradients, and extended-feature gradient for one
+    sample."""
+    h, z, caches = _forward_cached(plan, params, x)
+    loss_value, dz = _loss_and_dz(z, label)
+    grads, dx = _backward(plan, params, caches, h, dz)
+    return loss_value, grads, dx

@@ -26,14 +26,14 @@ from cayleyprop.nn import (
     model_forward,
     readout,
     relu_kink_margin,
-    sample_gradients,
     scheme_plan_builder,
     train,
 )
-from cayleyprop.nn import _forward_cached, _loss_and_dz
+from cayleyprop.nn import _loss_and_dz
 from cayleyprop.propagation import build_plan
 from cayleyprop.spectral import analyze, expansion_sweep
 from oracles import (
+    _forward_cached,
     cheeger_constant_bruteforce,
     d_pattern_levels,
     disjoint_union,
@@ -41,6 +41,7 @@ from oracles import (
     enumerate_sl2_bruteforce,
     is_connected,
     relabel_nodes,
+    sample_gradients,
 )
 
 BASELINE_PATH = Path(__file__).parent / "data" / "sum_task_baseline.json"

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -24,13 +25,12 @@ from cayleyprop.nn import (
     model_forward,
     readout,
     relu_kink_margin,
-    sample_gradients,
     scheme_plan_builder,
     train,
 )
-from cayleyprop.nn import GCNLayerParams, _forward_cached, _loss_and_dz
+from cayleyprop.nn import GCNLayerParams, _loss_and_dz
 from cayleyprop.propagation import SCHEMES, build_plan
-from oracles import layer_forward, relabel_nodes
+from oracles import _forward_cached, layer_forward, relabel_nodes, sample_gradients
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +355,110 @@ class TestLossAndGrads:
                     assert g.tobytes() == expected[name].tobytes(), name
 
 
+def oracle_loss_and_grads(plans, params, batch):
+    """Mean loss and gradients of the per-sample oracle, summed one sample
+    at a time in batch order."""
+    total = 0.0
+    expected = nn.zero_grads(params)
+    for plan, (x, label) in zip(plans, batch):
+        value, grads, _ = sample_gradients(plan, params, x, label)
+        total += value
+        for name, g in grads.items():
+            expected[name] += g
+    scale = 1.0 / len(batch)
+    for name in expected:
+        expected[name] *= scale
+    return total * scale, expected
+
+
+def assert_matches_oracle(plans, params, batch):
+    want_loss, want = oracle_loss_and_grads(plans, params, batch)
+    with nn._operator_memo():
+        for _ in range(2):  # a cold and a warm workspace
+            loss, grads = loss_and_grads(plans, params, batch)
+            assert loss == want_loss
+            assert grads.keys() == want.keys()
+            for name, g in grads.items():
+                assert g.tobytes() == want[name].tobytes(), name
+
+
+class TestStackedEngine:
+    def test_runs_cut_at_count_changes_and_stack_size(self):
+        counts = [24] * 10 + [48, 24, 24, 48]
+        plans = [types.SimpleNamespace(extended_count=c) for c in counts]
+        assert nn.STACK_SAMPLES == 8
+        assert list(nn._runs(plans)) == [(0, 8), (8, 10), (10, 11), (11, 13), (13, 14)]
+
+    @pytest.mark.parametrize("hidden", [5, 1])
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    def test_batch_across_a_stack_boundary_matches_oracle(self, cache, kind, hidden):
+        # 33 samples: four full stacks and one of a single sample. A hidden
+        # width of 1 makes every bias gradient a size-1 total.
+        graphs = [gen_graph("BA", 20, seed, m=2) for seed in range(33)]
+        plans = [build_plan(g, "CGP", 2, cache=cache) for g in graphs]
+        rng = np.random.default_rng(31)
+        params = init_params(rng, kind, 6, hidden, 2)
+        batch = [(rng.standard_normal((20, 6)), float(i % 3 == 0)) for i in range(33)]
+        assert_matches_oracle(plans, params, batch)
+
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    @pytest.mark.parametrize("scheme", ["Base", "CGP"])
+    def test_mixed_graph_sizes_match_oracle(self, cache, scheme, kind):
+        # 20- and 22-node graphs both pad to 24 Cayley nodes under CGP, and
+        # 30-node graphs to 48; under Base every size change cuts a run.
+        sizes = [20, 22, 20, 30, 30, 22, 20, 20, 30, 22, 22, 20]
+        graphs = [gen_graph("ER", n, seed, p=0.3) for seed, n in enumerate(sizes)]
+        plans = [build_plan(g, scheme, 2, cache=cache) for g in graphs]
+        rng = np.random.default_rng(32)
+        params = init_params(rng, kind, 4, 6, 2)
+        batch = [(rng.standard_normal((n, 4)), float(n % 4 == 0)) for n in sizes]
+        assert_matches_oracle(plans, params, batch)
+
+        samples = [nn.SumTaskSample(g, x, int(y)) for g, (x, y) in zip(graphs, batch)]
+        wrong = sum(
+            (_forward_cached(plan, params, x)[1] > 0.0) != bool(y)
+            for plan, (x, y) in zip(plans, batch)
+        )
+        with nn._operator_memo():
+            assert nn.error_rate(plans, params, samples) == wrong / len(samples)
+
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_model_forward_matches_oracle(self, cache, scheme, kind):
+        g = gen_graph("ER", 22, 17, p=0.3)
+        plan = build_plan(g, scheme, 3, cache=cache)
+        rng = np.random.default_rng(33)
+        params = init_params(rng, kind, 5, 7, 3)
+        x = rng.standard_normal((22, 5))
+        h, z = model_forward(plan, params, x)
+        want_h, want_z, _ = _forward_cached(plan, params, x)
+        assert h.tobytes() == want_h.tobytes()
+        assert z == want_z
+
+    def test_feature_shape_mismatch_rejected(self):
+        plan = build_plan(UGraph(3, [(0, 1)]), "Base", 1)
+        params = init_params(np.random.default_rng(0), "gin", 2, 3, 1)
+        for x in (np.ones((3, 1)), np.ones((2, 2))):
+            with pytest.raises(ValueError, match="do not match"):
+                loss_and_grads([plan], params, [(x, 1.0)])
+
+
+class TestErrorRate:
+    def setup_method(self):
+        ds = gen_sum_task("BA", 3, seed=0, test_size=1)
+        self.samples = ds.train
+        self.plans = [build_plan(s.graph, "Base", 1) for s in ds.train]
+        self.params = init_params(np.random.default_rng(0), "gin", 128, 4, 1)
+
+    def test_plan_sample_length_mismatch(self):
+        with pytest.raises(ValueError, match="2 plans for 3 samples"):
+            nn.error_rate(self.plans[:2], self.params, self.samples)
+
+    def test_no_samples(self):
+        with pytest.raises(ValueError, match="no samples"):
+            nn.error_rate([], self.params, ())
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         params = init_params(np.random.default_rng(0), "gin", 2, 3, 1)
@@ -553,6 +657,31 @@ class TestTrain:
         assert steps == []
 
 
+    # SHA-256 of the CSVs below, concatenated, recorded with the per-sample
+    # engine. The stacked engine sums in the same order, so any change to
+    # the arithmetic that flips a prediction shows here.
+    TRAIN_CSV_SHA256 = "6c3121c29c24b63b4e2b68b20313c706f04dd172ca022f3ac59b137692b7769b"
+
+    def test_train_csvs_are_pinned(self, cache):
+        ds = gen_sum_task("BA", 40, seed=5, test_size=20)
+        digest = hashlib.sha256()
+        for scheme in SCHEMES:
+            for kind in LAYER_KINDS:
+                config = TrainConfig(
+                    epochs=3,
+                    seed=5,
+                    hidden_dim=16,
+                    learning_rate=1e-2,
+                    num_layers=2,
+                    layer_kind=kind,
+                    scheme=scheme,
+                    train_sizes=(20, 40),
+                )
+                rows = train(scheme_plan_builder(scheme, 2, cache=cache), ds, config)
+                digest.update(curve_to_csv(rows).encode())
+        assert digest.hexdigest() == self.TRAIN_CSV_SHA256
+
+
 class TestOperatorMemo:
     def test_one_build_per_template_and_kind_per_run(self, cache, monkeypatch):
         built = []
@@ -585,8 +714,29 @@ class TestOperatorMemo:
         assert len(built) == len(templates) == len(plans) + 1
         assert [id(g) for g in built].count(cayley) == 1
         assert nn._run_operators.get() is None
+        assert nn._run_workspace.get() is None
 
         # Nothing outlives a run: a second run builds every operator again.
         built.clear()
         assert train(scheme_plan_builder("CGP", 2, cache=cache), ds, config) == rows
         assert len(built) == len(templates)
+
+    def test_workspace_is_dropped_when_a_run_raises(self, monkeypatch):
+        seen = []
+
+        def failing_step(params, grads, state, lr):
+            seen.append(dict(nn._run_workspace.get()))
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(nn, "adam_step", failing_step)
+        ds = gen_sum_task("BA", 12, seed=4, test_size=5)
+        config = TrainConfig(epochs=1, batch_size=12, hidden_dim=4, train_sizes=(12,))
+        with pytest.raises(RuntimeError, match="stop"):
+            train(scheme_plan_builder("Base", 1), ds, config)
+        (workspace,) = seen
+        # One stack of 8 and one of 4 ran through the same buffers.
+        assert workspace and all(
+            buf.shape[0] == nn.STACK_SAMPLES for buf in workspace.values()
+        )
+        assert nn._run_workspace.get() is None
+        assert nn._run_operators.get() is None
