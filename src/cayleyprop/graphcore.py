@@ -47,7 +47,8 @@ class UGraph:
             raise ValueError(f"node_count must be >= 0, got {node_count}")
         canon = []
         seen: set[tuple[int, int]] = set()
-        for u, v in edges:
+        for e in edges:
+            u, v = e
             if u == v:
                 raise ValueError(
                     f"ordinary edge ({u}, {v}) is a self-loop; "
@@ -55,7 +56,14 @@ class UGraph:
                 )
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
-            key = (u, v) if u < v else (v, u)
+            # A canonical pair is kept, not copied: plans share their input
+            # graph's edge tuples.
+            if u > v:
+                key = (v, u)
+            elif type(e) is tuple:
+                key = e
+            else:
+                key = (u, v)
             if key in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add(key)

@@ -6,7 +6,9 @@ count run as one (s, m, F) stack of at most STACK_SAMPLES graphs: each
 product is one np.matmul, which makes the same BLAS call per slice as one
 sample alone would, and per-sample gradients are added in sample order, so
 a batch gives the bytes of the one-sample-at-a-time path (kept as the test
-oracle). Batch gradients are averaged. No batch normalization: the graphs
+oracle). Every parameter array is a view of one flat vector, so gradients
+are summed, and Adam steps, over whole vectors with the per-array
+arithmetic. Batch gradients are averaged. No batch normalization: the graphs
 here are tiny and exact gradient checks matter more than large-scale
 training tricks.
 """
@@ -14,6 +16,7 @@ training tricks.
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import math
 from contextvars import ContextVar
@@ -31,9 +34,10 @@ LAYER_KINDS = ("gin", "gcn")
 # run through the layers as one (s, m, F) stack of at most this many. Each
 # stack buffer holds this many slots for the whole training run, so this
 # bounds the run's workspace: on the perfbench train workload 16-sample
-# stacks ran at most 7% faster and took peak RSS from +4% to +9% over the
-# one-sample-at-a-time engine, next to the benchmark's 10% bound.
-STACK_SAMPLES = 8
+# stacks cost about 3.5 MiB of peak RSS more than 8, which the extended input
+# templates pay back by sharing their input graph's edge tuples (UGraph
+# keeps a canonical pair instead of copying it).
+STACK_SAMPLES = 16
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -96,9 +100,20 @@ class GCNLayerParams(_LayerParams):
 
 @dataclass
 class ModelParams:
+    """The model's arrays, each a view of one float64 vector, vec, laid out
+    in arrays() order."""
+
     layers: list
     readout_w: np.ndarray
     readout_b: np.ndarray  # 0-d
+    vec: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._bind(
+            np.concatenate(
+                [np.asarray(a, dtype=np.float64).reshape(-1) for _, a in self.arrays()]
+            )
+        )
 
     def arrays(self):
         for i, layer in enumerate(self.layers):
@@ -107,11 +122,41 @@ class ModelParams:
         yield "readout.w", self.readout_w
         yield "readout.b", self.readout_b
 
-    def copy(self) -> "ModelParams":
-        layers = [
-            replace(l, **{n: a.copy() for n, a in l.arrays()}) for l in self.layers
+    def layout(self) -> tuple:
+        """(name, shape) of every array, in vec order."""
+        return tuple((name, np.shape(arr)) for name, arr in self.arrays())
+
+    def _bind(self, buf: np.ndarray) -> "ModelParams":
+        """Make every array a view of buf's last axis, in place; leading axes
+        of buf (a stack of samples) lead every view."""
+        views = iter(_views(buf, self.layout()).values())
+        self.layers = [
+            replace(l, **{n: next(views) for n, _ in l.arrays()}) for l in self.layers
         ]
-        return ModelParams(layers, self.readout_w.copy(), self.readout_b.copy())
+        self.readout_w = next(views)
+        self.readout_b = next(views)
+        self.vec = buf
+        return self
+
+    def _over(self, buf: np.ndarray) -> "ModelParams":
+        """This layout over buf, which is not copied."""
+        return copy.copy(self)._bind(buf)
+
+    def copy(self) -> "ModelParams":
+        return self._over(self.vec.copy())
+
+
+def _views(buf: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """name -> view of buf's last axis cut into layout's (name, shape)
+    arrays in order; leading axes of buf lead every view."""
+    lead = buf.shape[:-1]
+    views = {}
+    offset = 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        views[name] = buf[..., offset : offset + size].reshape(lead + shape)
+        offset += size
+    return views
 
 
 def init_params(
@@ -159,10 +204,6 @@ def init_params(
     return ModelParams(layers, readout_w, np.zeros(()))
 
 
-def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.arrays()}
-
-
 # ---------------------------------------------------------------------------
 # Layers (matrix form with cached intermediates for the backward pass)
 # ---------------------------------------------------------------------------
@@ -184,17 +225,22 @@ _run_operators: ContextVar[dict | None] = ContextVar("_run_operators", default=N
 # The stack buffers of the training run in progress, keyed by (name, shape);
 # None outside _operator_memo.
 _run_workspace: ContextVar[dict | None] = ContextVar("_run_workspace", default=None)
+# The gradient stacks of the training run in progress (see _grad_stack),
+# keyed by (layout, s); None outside _operator_memo.
+_run_grad_stacks: ContextVar[dict | None] = ContextVar("_run_grad_stacks", default=None)
 
 
 @contextlib.contextmanager
 def _operator_memo():
-    """Build each (template, kind) operator and each stack buffer once
-    inside the block; drop them all when it ends."""
+    """Build each (template, kind) operator, each stack buffer and each
+    gradient stack once inside the block; drop them all when it ends."""
     operators = _run_operators.set({})
     workspace = _run_workspace.set({})
+    grad_stacks = _run_grad_stacks.set({})
     try:
         yield
     finally:
+        _run_grad_stacks.reset(grad_stacks)
         _run_workspace.reset(workspace)
         _run_operators.reset(operators)
 
@@ -268,9 +314,10 @@ def _stack_layer_forward(i: int, x, ops, p):
     return out, (sx, pre)
 
 
-def _stack_layer_backward(i: int, dout, cache, ops, p, input_grad: bool):
-    """Per-sample parameter gradient stacks of layer i and, if input_grad,
-    the input gradient; an operator is symmetric, so it is its own
+def _stack_layer_backward(i: int, dout, cache, ops, p, grads, input_grad: bool):
+    """Write layer i's per-sample parameter gradients into grads, the
+    layer's (s, ...) views of the gradient stack, and return the input
+    gradient if input_grad; an operator is symmetric, so it is its own
     transpose."""
     s, m, _ = dout.shape
 
@@ -280,46 +327,43 @@ def _stack_layer_backward(i: int, dout, cache, ops, p, input_grad: bool):
     if p.kind == "gin":
         c, x, z, h, pre = cache
         in_dim = x.shape[2]
-        grads = {
-            "w2": np.matmul(h.transpose(0, 2, 1), dout, out=buf("gw2", *p.w2.shape)),
-            "b2": np.add.reduce(dout, axis=1, out=buf("gb2", *p.b2.shape)),
-        }
+        np.matmul(h.transpose(0, 2, 1), dout, out=grads.w2)
+        np.add.reduce(dout, axis=1, out=grads.b2)
         dpre = np.matmul(dout, p.w2.T, out=buf("dpre", m, pre.shape[2]))
         dpre *= pre > 0.0
-        grads["w1"] = np.matmul(z.transpose(0, 2, 1), dpre, out=buf("gw1", *p.w1.shape))
-        grads["b1"] = np.add.reduce(dpre, axis=1, out=buf("gb1", *p.b1.shape))
+        np.matmul(z.transpose(0, 2, 1), dpre, out=grads.w1)
+        np.add.reduce(dpre, axis=1, out=grads.b1)
         dz = np.matmul(dpre, p.w1.T, out=buf("dz", m, in_dim))
         dzx = np.multiply(dz, x, out=buf("dzx", m, in_dim))
-        grads["eps"] = np.add.reduce(dzx, axis=(1, 2), out=buf("geps"))
+        np.add.reduce(dzx, axis=(1, 2), out=grads.eps)
         if not input_grad:
-            return grads, None
+            return None
         adz = np.matmul(ops, dz, out=buf("adz", m, in_dim))
         dx = np.multiply(dz, c, out=dzx)
         dx += adz
-        return grads, dx
+        return dx
     sx, pre = cache
     dpre = np.multiply(dout, pre > 0.0, out=buf("dpre", m, pre.shape[2]))
-    grads = {
-        "w": np.matmul(sx.transpose(0, 2, 1), dpre, out=buf("gw", *p.w.shape)),
-        "b": np.add.reduce(dpre, axis=1, out=buf("gb", *p.b.shape)),
-    }
+    np.matmul(sx.transpose(0, 2, 1), dpre, out=grads.w)
+    np.add.reduce(dpre, axis=1, out=grads.b)
     if not input_grad:
-        return grads, None
+        return None
     dsx = np.matmul(dpre, p.w.T, out=buf("dsx", m, p.w.shape[0]))
-    return grads, np.matmul(ops, dsx, out=buf("dx", m, p.w.shape[0]))
+    return np.matmul(ops, dsx, out=buf("dx", m, p.w.shape[0]))
 
 
-def _accumulate(total: np.ndarray, stack: np.ndarray) -> None:
-    """total += stack[0], then stack[1], ... in sample order, so a batch sums
-    exactly as one sample at a time would. The running sum goes in slot 0;
-    a reduce along axis 0 adds the slots in order unless it is the only
-    axis, where numpy sums pairwise, so size-1 totals add one at a time."""
-    if total.size == 1:
-        for g in stack:
-            total += g
-        return
-    stack[0] += total
-    np.add.reduce(stack, axis=0, out=total)
+def _grad_stack(params: ModelParams, s: int) -> ModelParams:
+    """params' layout over an uninitialised (s, P) stack of per-sample
+    gradients, P the parameter count: every array an (s, ...) view. Inside
+    _operator_memo the views are made once per s over the run's buffer."""
+    stacks = _run_grad_stacks.get()
+    key = (params.layout(), s)
+    stack = None if stacks is None else stacks.get(key)
+    if stack is None:
+        stack = params._over(_stack(("grads", key[0]), s, params.vec.size))
+        if stacks is not None:
+            stacks[key] = stack
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +371,21 @@ def _accumulate(total: np.ndarray, stack: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _logit(row_sum: np.ndarray, params: ModelParams) -> float:
+    return float(row_sum @ params.readout_w + params.readout_b)
+
+
 def readout(plan: PropagationPlan, params: ModelParams, h: np.ndarray) -> float:
     """Sum the original-node rows and apply the linear head. Virtual rows
     never enter the prediction."""
-    s = h[: plan.original_count].sum(axis=0)
-    return float(s @ params.readout_w + params.readout_b)
+    return _logit(h[: plan.original_count].sum(axis=0), params)
 
 
 def _stack_forward(plans: list[PropagationPlan], params: ModelParams, xs) -> tuple:
     """Forward pass of a run of samples that share an extended count.
 
-    Returns the final embeddings (s, m, hidden), the logits and each
-    layer's (operators, cache).
+    Returns the final embeddings (s, m, hidden), each sample's readout row
+    sum (s, hidden), the logits and each layer's (operators, cache).
     """
     s, m = len(plans), plans[0].extended_count
     first = params.layers[0]
@@ -367,30 +414,37 @@ def _stack_forward(plans: list[PropagationPlan], params: ModelParams, xs) -> tup
         )
         h, cache = _stack_layer_forward(i, h, ops, layer)
         layers.append((ops, cache))
-    logits = [readout(plan, params, h[k]) for k, plan in enumerate(plans)]
-    return h, logits, layers
+    sums = _stack("sums", s, h.shape[2])
+    logits = []
+    for k, plan in enumerate(plans):
+        np.add.reduce(h[k, : plan.original_count], axis=0, out=sums[k])
+        logits.append(_logit(sums[k], params))
+    return h, sums, logits, layers
 
 
-def _stack_backward(plans, params: ModelParams, h, layers, dzs, acc) -> None:
-    """Add each sample's parameter gradients to acc, in sample order; the
-    first layer's input gradient is never formed."""
-    s, m, hidden = h.shape
-    readout_grads = _stack("readout.w", s, hidden)
-    dh = _stack(("dout", len(layers) - 1), s, m, hidden)
+def _stack_backward(plans, params: ModelParams, sums, layers, dzs, acc) -> None:
+    """Add each sample's parameter gradients to the flat vector acc, in
+    sample order; the first layer's input gradient is never formed."""
+    s, hidden = sums.shape
+    grads = _grad_stack(params, s)
+    dz = np.array(dzs)
+    np.multiply(sums, dz[:, None], out=grads.readout_w)
+    grads.readout_b[...] = dz
+    dh = _stack(("dout", len(layers) - 1), s, plans[0].extended_count, hidden)
     dh.fill(0.0)
-    for k, (plan, dz) in enumerate(zip(plans, dzs)):
-        n = plan.original_count
-        np.add.reduce(h[k, :n], axis=0, out=readout_grads[k])
-        readout_grads[k] *= dz
-        np.multiply(params.readout_w, dz, out=dh[k, :n])
-    _accumulate(acc["readout.w"], readout_grads)
-    _accumulate(acc["readout.b"], np.array(dzs))
+    for k, plan in enumerate(plans):
+        np.multiply(params.readout_w, dzs[k], out=dh[k, : plan.original_count])
     for i in range(len(layers) - 1, -1, -1):
-        layer = params.layers[i]
         ops, cache = layers[i]
-        grads, dh = _stack_layer_backward(i, dh, cache, ops, layer, input_grad=i > 0)
-        for name, g in grads.items():
-            _accumulate(acc[f"layers.{i}.{layer.kind}.{name}"], g)
+        dh = _stack_layer_backward(
+            i, dh, cache, ops, params.layers[i], grads.layers[i], input_grad=i > 0
+        )
+    # Slot 0 takes the running total, then the reduce adds the slots in
+    # sample order: a reduce along axis 0 goes slot by slot for every
+    # column, as axis 0 is never its only axis (numpy sums a lone axis
+    # pairwise).
+    grads.vec[0] += acc
+    np.add.reduce(grads.vec, axis=0, out=acc)
 
 
 def model_forward(
@@ -398,7 +452,7 @@ def model_forward(
 ) -> tuple[np.ndarray, float]:
     """Run the layer schedule; returns final embeddings and the prediction
     logit (or regression value)."""
-    h, (z,), _ = _stack_forward([plan], params, [x])
+    h, _, (z,), _ = _stack_forward([plan], params, [x])
     return h[0].copy(), z  # inside a run, h is a buffer the next stack reuses
 
 
@@ -410,7 +464,7 @@ def relu_kink_margin(plan: PropagationPlan, params: ModelParams, x: np.ndarray) 
     the probe step; a margin near zero means the loss is not differentiable
     at the current parameters.
     """
-    _, _, layers = _stack_forward([plan], params, [x])
+    _, _, _, layers = _stack_forward([plan], params, [x])
     return min(float(np.abs(cache[-1]).min()) for _, cache in layers)
 
 
@@ -428,16 +482,17 @@ def loss_and_grads(
     batch: list[tuple[np.ndarray, float]],
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean BCE loss and mean gradients over a batch of (features, label)
-    pairs; plans and samples pair up elementwise."""
+    pairs; plans and samples pair up elementwise. The gradients are
+    per-name views of one vector laid out as params.vec."""
     if not batch:
         raise ValueError("empty batch")
     if len(plans) != len(batch):
         raise ValueError(f"{len(plans)} plans for {len(batch)} samples")
     total = 0.0
-    acc = zero_grads(params)
+    acc = np.zeros_like(params.vec)
     for start, stop in _runs(plans):
         run = batch[start:stop]
-        h, logits, layers = _stack_forward(
+        _, sums, logits, layers = _stack_forward(
             plans[start:stop], params, [x for x, _ in run]
         )
         dzs = []
@@ -445,16 +500,17 @@ def loss_and_grads(
             value, dz = _loss_and_dz(z, label)
             total += value
             dzs.append(dz)
-        _stack_backward(plans[start:stop], params, h, layers, dzs, acc)
+        _stack_backward(plans[start:stop], params, sums, layers, dzs, acc)
     scale = 1.0 / len(batch)
     mean_loss = total * scale
     if not math.isfinite(mean_loss):
         raise TrainingDiverged(f"non-finite loss {mean_loss}")
-    for name in acc:
-        acc[name] *= scale
-        if not np.all(np.isfinite(acc[name])):
-            raise TrainingDiverged(f"non-finite gradient in {name}")
-    return mean_loss, acc
+    acc *= scale
+    grads = _views(acc, params.layout())
+    if not np.all(np.isfinite(acc)):
+        name = next(n for n, g in grads.items() if not np.all(np.isfinite(g)))
+        raise TrainingDiverged(f"non-finite gradient in {name}")
+    return mean_loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +520,15 @@ def loss_and_grads(
 
 @dataclass
 class AdamState:
+    """Step count and moment vectors, laid out as the parameters' vec."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        return cls(m=zero_grads(params), v=zero_grads(params))
+        return cls(m=np.zeros_like(params.vec), v=np.zeros_like(params.vec))
 
 
 def adam_step(
@@ -479,18 +537,39 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> ModelParams:
-    """One Adam update. Returns fresh parameters; state advances in place."""
+    """One Adam update over the whole parameter vector. Returns fresh
+    parameters; state advances in place."""
+    layout = params.layout()
+    if state.m.shape != params.vec.shape or state.v.shape != params.vec.shape:
+        raise ValueError(
+            f"Adam state holds {state.m.size} moments for {params.vec.size} parameters"
+        )
+    for name, shape in layout:
+        if np.shape(grads[name]) != shape:
+            raise ValueError(
+                f"gradient {name} has shape {np.shape(grads[name])}, "
+                f"the parameter {shape}"
+            )
+    g = np.concatenate(
+        [np.asarray(grads[name], dtype=np.float64).reshape(-1) for name, _ in layout]
+    )
     state.step += 1
     t = state.step
-    new = params.copy()
-    for name, arr in new.arrays():
-        g = grads[name]
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / (1.0 - ADAM_BETA1**t)
-        v_hat = state.v[name] / (1.0 - ADAM_BETA2**t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return new
+    # The expressions of a per-array step, elementwise in the same order.
+    tmp = np.multiply(g, 1.0 - ADAM_BETA1)
+    state.m *= ADAM_BETA1
+    state.m += tmp
+    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= g
+    state.v *= ADAM_BETA2
+    state.v += tmp
+    upd = np.divide(state.m, 1.0 - ADAM_BETA1**t)
+    np.divide(state.v, 1.0 - ADAM_BETA2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    upd *= lr
+    upd /= tmp
+    return params._over(params.vec - upd)
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +686,16 @@ class TrainConfig:
             raise ValueError(
                 f"learning rate must be finite and positive, got {self.learning_rate}"
             )
+        counts = {
+            "epochs": self.epochs,
+            "batch_size": self.batch_size,
+            "hidden_dim": self.hidden_dim,
+            "num_layers": self.num_layers,
+        }
+        counts.update((f"train_sizes[{i}]", n) for i, n in enumerate(self.train_sizes))
+        for name, n in counts.items():
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise ValueError(f"{name} must be an int, got {n!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
         if self.hidden_dim < 1 or self.num_layers < 1:
@@ -650,7 +739,7 @@ def error_rate(
     wrong = 0
     for start, stop in _runs(plans):
         run = samples[start:stop]
-        _, logits, _ = _stack_forward(
+        _, _, logits, _ = _stack_forward(
             plans[start:stop], params, [s.features for s in run]
         )
         for z, sample in zip(logits, run):
@@ -711,7 +800,7 @@ def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[Cu
                     _, grads = loss_and_grads(plans, params, batch)
                     params = adam_step(params, grads, state, config.learning_rate)
             # The last Adam step is not followed by a loss_and_grads check.
-            if not all(np.all(np.isfinite(a)) for _, a in params.arrays()):
+            if not np.all(np.isfinite(params.vec)):
                 raise TrainingDiverged("non-finite parameters after training")
             train_error = error_rate(subset_plans, params, subset)
             test_error = error_rate(test_plans, params, dataset.test)

@@ -71,15 +71,19 @@ def eig_sym(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if float(np.abs(m - m.T).max(initial=0.0)) > EIG_TOL * scale:
+    largest = float(np.abs(m).max(initial=0.0))
+    if not math.isfinite(largest):
+        raise ValueError("matrix has a NaN or infinite entry")
+    scale = max(1.0, largest)
+    # Written as `not err <= tol` here and below, so that a NaN error fails.
+    if not float(np.abs(m - m.T).max(initial=0.0)) <= EIG_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     if _is_combinatorial_laplacian(m):
         return _laplacian_spectrum(m)
     w, q = np.linalg.eigh(m)
     norm = max(float(np.linalg.norm(m)), 1.0)
     residual = float(np.linalg.norm(m @ q - q * w))
-    if residual > EIG_TOL * norm:
+    if not residual <= EIG_TOL * norm:
         raise RuntimeError(
             f"eigendecomposition residual {residual:.3e} exceeds "
             f"{EIG_TOL:.1e} * ||M||"
@@ -122,7 +126,7 @@ def _laplacian_spectrum(lap: np.ndarray) -> np.ndarray:
          (2.0 * math.sqrt(frob_sq) + t) * t),
     )
     for name, error, tol in checks:
-        if abs(error) > tol:
+        if not abs(error) <= tol:
             raise RuntimeError(
                 f"Laplacian spectrum {name} is off by {error:.3e}, "
                 f"more than {tol:.3e}"

@@ -3,8 +3,9 @@
 Brute-force and per-pair oracles for the diagnostics (group order, Cheeger
 constant, effective resistance), graph helpers that build test inputs
 (relabelling, disjoint unions, d-patterns, connectivity), the standalone
-layer forward and the per-sample training path that the stacked engine in
-`cayleyprop.nn` must match bit for bit. None of them is on a command's code
+layer forward, the per-sample training path and the per-array Adam step
+that the stacked, whole-vector engine in `cayleyprop.nn` must match bit for
+bit. None of them is on a command's code
 path, so they live here rather than in the package.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -19,6 +21,9 @@ import numpy as np
 from cayleyprop.graphcore import UGraph
 from cayleyprop.modgroup import Mat2Z
 from cayleyprop.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     ModelParams,
     _layer_operator,
     _loss_and_dz,
@@ -297,3 +302,43 @@ def sample_gradients(
     loss_value, dz = _loss_and_dz(z, label)
     grads, dx = _backward(plan, params, caches, h, dz)
     return loss_value, grads, dx
+
+
+def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
+    return {name: np.zeros_like(arr) for name, arr in params.arrays()}
+
+
+# ---------------------------------------------------------------------------
+# The per-array Adam step
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class AdamState:
+    step: int = 0
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @classmethod
+    def for_params(cls, params: ModelParams) -> "AdamState":
+        return cls(m=zero_grads(params), v=zero_grads(params))
+
+
+def adam_step(
+    params: ModelParams,
+    grads: dict[str, np.ndarray],
+    state: AdamState,
+    lr: float,
+) -> ModelParams:
+    """One Adam update. Returns fresh parameters; state advances in place."""
+    state.step += 1
+    t = state.step
+    new = params.copy()
+    for name, arr in new.arrays():
+        g = grads[name]
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1.0 - ADAM_BETA1**t)
+        v_hat = state.v[name] / (1.0 - ADAM_BETA2**t)
+        arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new

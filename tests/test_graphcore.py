@@ -61,6 +61,33 @@ class TestUGraph:
         assert a[2, 2] == 1.0
         assert g.adjacency_matrix()[2, 2] == 0.0
 
+    def test_canonical_edge_tuples_are_shared(self):
+        g = gen_graph("ER", 12, 5, p=0.4)
+        h = UGraph(g.node_count, g.edges, [3])
+        assert h == UGraph(g.node_count, [list(e) for e in g.edges], [3])
+        assert all(a is b for a, b in zip(h.edges, g.edges))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(2, 0), (1, 2)], [[0, 2], [2, 1]], np.array([[0, 2], [2, 1]]),
+         [(np.int64(2), np.int64(0)), (np.int64(1), np.int64(2))]],
+        ids=["reversed", "lists", "array", "numpy-ints"],
+    )
+    def test_other_pairs_are_canonicalised(self, pairs):
+        g = UGraph(3, pairs)
+        assert g.edges == ((0, 2), (1, 2))
+        assert all(type(e) is tuple for e in g.edges)
+
+    @pytest.mark.parametrize(
+        "pairs, match",
+        [([(0, 1), (0, 1)], "duplicate"), ([(0, 1), [1, 0]], "duplicate"),
+         ([(1, 1)], "self-loop"), ([(0, 3)], "out of range"),
+         ([(-1, 2)], "out of range")],
+    )
+    def test_canonical_tuples_are_still_validated(self, pairs, match):
+        with pytest.raises(ValueError, match=match):
+            UGraph(3, pairs)
+
     def test_equality(self):
         assert UGraph(3, [(1, 2), (0, 1)]) == UGraph(3, [(0, 1), (2, 1)])
         assert UGraph(3, [(0, 1)]) != UGraph(3, [(0, 2)])

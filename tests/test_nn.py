@@ -30,7 +30,14 @@ from cayleyprop.nn import (
 )
 from cayleyprop.nn import GCNLayerParams, _loss_and_dz
 from cayleyprop.propagation import SCHEMES, build_plan
-from oracles import _forward_cached, layer_forward, relabel_nodes, sample_gradients
+from oracles import (
+    _forward_cached,
+    layer_forward,
+    relabel_nodes,
+    sample_gradients,
+    zero_grads,
+)
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -336,7 +343,7 @@ class TestLossAndGrads:
         batch = [(rng.standard_normal((20, 6)), float(i % 2)) for i in range(5)]
 
         total = 0.0
-        expected = nn.zero_grads(params)
+        expected = zero_grads(params)
         for plan, (x, label) in zip(plans, batch):
             value, grads, _ = sample_gradients(plan, params, x, label)
             total += value
@@ -359,7 +366,7 @@ def oracle_loss_and_grads(plans, params, batch):
     """Mean loss and gradients of the per-sample oracle, summed one sample
     at a time in batch order."""
     total = 0.0
-    expected = nn.zero_grads(params)
+    expected = zero_grads(params)
     for plan, (x, label) in zip(plans, batch):
         value, grads, _ = sample_gradients(plan, params, x, label)
         total += value
@@ -384,16 +391,20 @@ def assert_matches_oracle(plans, params, batch):
 
 class TestStackedEngine:
     def test_runs_cut_at_count_changes_and_stack_size(self):
-        counts = [24] * 10 + [48, 24, 24, 48]
+        # A full stack, its remainder, then cuts at every count change.
+        n = nn.STACK_SAMPLES
+        counts = [24] * (n + 2) + [48, 24, 24, 48]
         plans = [types.SimpleNamespace(extended_count=c) for c in counts]
-        assert nn.STACK_SAMPLES == 8
-        assert list(nn._runs(plans)) == [(0, 8), (8, 10), (10, 11), (11, 13), (13, 14)]
+        assert list(nn._runs(plans)) == [
+            (0, n), (n, n + 2), (n + 2, n + 3), (n + 3, n + 5), (n + 5, n + 6)
+        ]
 
     @pytest.mark.parametrize("hidden", [5, 1])
     @pytest.mark.parametrize("kind", LAYER_KINDS)
     def test_batch_across_a_stack_boundary_matches_oracle(self, cache, kind, hidden):
-        # 33 samples: four full stacks and one of a single sample. A hidden
-        # width of 1 makes every bias gradient a size-1 total.
+        # 33 samples end in a stack of one for any power-of-two stack size
+        # up to 32. A hidden width of 1 makes every bias gradient a size-1
+        # total.
         graphs = [gen_graph("BA", 20, seed, m=2) for seed in range(33)]
         plans = [build_plan(g, "CGP", 2, cache=cache) for g in graphs]
         rng = np.random.default_rng(31)
@@ -499,6 +510,63 @@ class TestAdam:
         adam_step(params, {n: np.ones_like(a) for n, a in params.arrays()}, state, 1e-3)
         for name, arr in params.arrays():
             np.testing.assert_array_equal(arr, snapshot[name])
+
+
+class TestWholeVector:
+    def test_arrays_are_views_of_one_vector(self):
+        params = init_params(np.random.default_rng(4), "gin", 3, 4, 2)
+        offset = 0
+        for _, arr in params.arrays():
+            assert np.shares_memory(arr, params.vec)
+            assert np.array_equal(arr.reshape(-1), params.vec[offset : offset + arr.size])
+            offset += arr.size
+        assert offset == params.vec.size
+        before = params.vec.copy()
+        copied = params.copy()
+        copied.vec[:] = 0.0
+        assert all(not np.any(a) for _, a in copied.arrays())
+        assert params.vec.tobytes() == before.tobytes()
+
+    def test_gradients_are_views_of_one_vector(self):
+        plan = build_plan(UGraph(3, [(0, 1)]), "Base", 1)
+        params = init_params(np.random.default_rng(5), "gcn", 2, 3, 1)
+        _, grads = loss_and_grads([plan], params, [(np.ones((3, 2)), 1.0)])
+        assert [(n, g.shape) for n, g in grads.items()] == [
+            (n, a.shape) for n, a in params.arrays()
+        ]
+        vec = grads["readout.b"].base
+        assert vec.size == params.vec.size
+        assert all(g.base is vec for g in grads.values())
+
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    def test_adam_matches_the_per_array_oracle(self, kind):
+        # Five steps from random gradients, 0-d eps and readout.b included:
+        # parameters and both moments agree bit for bit at every step.
+        rng = np.random.default_rng(41)
+        params = init_params(rng, kind, 5, 6, 2)
+        want = params.copy()
+        state = AdamState.for_params(params)
+        want_state = oracles.AdamState.for_params(want)
+        for _ in range(5):
+            grads = {n: rng.standard_normal(a.shape) for n, a in params.arrays()}
+            params = adam_step(params, grads, state, 1e-2)
+            want = oracles.adam_step(want, grads, want_state, 1e-2)
+            assert state.step == want_state.step
+            for got, moments in ((state.m, want_state.m), (state.v, want_state.v)):
+                packed = np.concatenate([a.reshape(-1) for a in moments.values()])
+                assert got.tobytes() == packed.tobytes()
+            for (name, a), (_, b) in zip(params.arrays(), want.arrays()):
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_adam_rejects_mismatched_gradients_and_state(self):
+        params = init_params(np.random.default_rng(6), "gin", 2, 3, 1)
+        grads = {n: np.zeros_like(a) for n, a in params.arrays()}
+        grads["readout.w"] = np.zeros(4)
+        with pytest.raises(ValueError, match="gradient readout.w"):
+            adam_step(params, grads, AdamState.for_params(params), 1e-3)
+        with pytest.raises(ValueError, match="moments"):
+            state = AdamState(np.zeros(3), np.zeros(3))
+            adam_step(params, zero_grads(params), state, 1e-3)
 
 
 class TestSumTask:
@@ -610,6 +678,20 @@ class TestTrain:
     @pytest.mark.parametrize("sizes", [(), (0,), (20, 0), (-1,)])
     def test_config_rejects_empty_or_nonpositive_train_sizes(self, sizes):
         with pytest.raises(ValueError, match="train_sizes"):
+            TrainConfig(train_sizes=sizes)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 1.5), ("batch_size", 2.5), ("hidden_dim", 2.0),
+         ("num_layers", True), ("epochs", np.int64(2)), ("batch_size", "8")],
+    )
+    def test_config_rejects_non_int_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("sizes", [(4.0,), (20, False), (20, 4.5)])
+    def test_config_rejects_non_int_train_sizes(self, sizes):
+        with pytest.raises(ValueError, match=r"train_sizes\[\d\] must be an int"):
             TrainConfig(train_sizes=sizes)
 
     @pytest.mark.parametrize("lr", [math.nan, math.inf])
@@ -734,7 +816,7 @@ class TestOperatorMemo:
         with pytest.raises(RuntimeError, match="stop"):
             train(scheme_plan_builder("Base", 1), ds, config)
         (workspace,) = seen
-        # One stack of 8 and one of 4 ran through the same buffers.
+        # Every buffer is STACK_SAMPLES deep, whatever the stack size.
         assert workspace and all(
             buf.shape[0] == nn.STACK_SAMPLES for buf in workspace.values()
         )

@@ -51,6 +51,12 @@ class TestExtendAdjacency:
         assert ext.edges == ((0, 1),)
         assert ext.self_loops == frozenset({2, 3})
 
+    def test_shares_its_input_edge_tuples(self):
+        g = gen_graph("BA", 20, 6, m=2)
+        ext = extend_input_adjacency(g, 24)
+        assert ext.edges == g.edges
+        assert all(a is b for a, b in zip(ext.edges, g.edges))
+
     def test_original_degrees_unchanged(self):
         g = gen_graph("ER", 10, 3, p=0.5)
         ext = extend_input_adjacency(g, 24)

@@ -86,6 +86,23 @@ class TestEigSym:
         with pytest.raises(ValueError, match="symmetric"):
             eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "m",
+        [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.inf], [math.inf, 1.0]],
+         [[-math.inf, 0.0], [0.0, 0.0]]],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_rejects_non_finite_entries(self, m):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            eig_sym(np.array(m))
+
+    def test_nan_residual_is_rejected(self, monkeypatch):
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        w, q = np.linalg.eigh(m)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (w * math.nan, q))
+        with pytest.raises(RuntimeError, match="residual"):
+            eig_sym(m)
+
     def test_cayley3_gap(self):
         lam = eig_sym(laplacian(build_cayley(3).graph, "normalized"))
         assert lam[1] == pytest.approx(CAYLEY3_NORMALIZED_GAP, abs=1e-10)
@@ -190,6 +207,14 @@ class TestEigenvalueOnlyLaplacianSolve:
             eig_sym(lap)
         # The normalized Laplacian keeps the eigenvector solve.
         eig_sym(laplacian(g, "normalized"))
+
+    def test_nan_spectrum_is_rejected(self, monkeypatch):
+        lap = laplacian(build_cayley(3).graph, "combinatorial")
+        mu = eig_sym(lap)
+        mu[-1] = math.nan
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: mu)
+        with pytest.raises(RuntimeError, match="spectrum .* is off"):
+            eig_sym(lap)
 
 
 def _component_count(g):
