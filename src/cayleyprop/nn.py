@@ -6,20 +6,19 @@ count run as one (s, m, F) stack of at most STACK_SAMPLES graphs: each
 product is one np.matmul, which makes the same BLAS call per slice as one
 sample alone would, and per-sample gradients are added in sample order, so
 a batch gives the bytes of the one-sample-at-a-time path (kept as the test
-oracle). Every parameter array is a view of one flat vector, so gradients
-are summed, and Adam steps, over whole vectors with the per-array
-arithmetic. Batch gradients are averaged. No batch normalization: the graphs
-here are tiny and exact gradient checks matter more than large-scale
-training tricks.
+oracle). Every parameter array is a view of one flat vector; the batch
+gradient is one vector in the same layout, averaged over the batch, and
+Adam steps the whole vector with the per-array arithmetic. A training run
+passes one _Run, which holds its layer operators and stack buffers, to
+every engine call. No batch normalization: the graphs here are tiny and
+exact gradient checks matter more than large-scale training tricks.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import functools
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -129,7 +128,7 @@ class ModelParams:
     def _bind(self, buf: np.ndarray) -> "ModelParams":
         """Make every array a view of buf's last axis, in place; leading axes
         of buf (a stack of samples) lead every view."""
-        views = iter(_views(buf, self.layout()).values())
+        views = (view for _, view in _views(buf, self.layout()))
         self.layers = [
             replace(l, **{n: next(views) for n, _ in l.arrays()}) for l in self.layers
         ]
@@ -146,17 +145,15 @@ class ModelParams:
         return self._over(self.vec.copy())
 
 
-def _views(buf: np.ndarray, layout) -> dict[str, np.ndarray]:
-    """name -> view of buf's last axis cut into layout's (name, shape)
+def _views(buf: np.ndarray, layout):
+    """(name, view) of buf's last axis cut into layout's (name, shape)
     arrays in order; leading axes of buf lead every view."""
     lead = buf.shape[:-1]
-    views = {}
     offset = 0
     for name, shape in layout:
         size = math.prod(shape)
-        views[name] = buf[..., offset : offset + size].reshape(lead + shape)
+        yield name, buf[..., offset : offset + size].reshape(lead + shape)
         offset += size
-    return views
 
 
 def init_params(
@@ -218,60 +215,45 @@ def _layer_operator(g: UGraph, kind: str) -> np.ndarray:
     return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-# The operators of the training run in progress, keyed by (id(template),
-# kind); None outside _operator_memo. Each entry also holds its template, so
-# the id cannot pass to another graph while the entry exists.
-_run_operators: ContextVar[dict | None] = ContextVar("_run_operators", default=None)
-# The stack buffers of the training run in progress, keyed by (name, shape);
-# None outside _operator_memo.
-_run_workspace: ContextVar[dict | None] = ContextVar("_run_workspace", default=None)
-# The gradient stacks of the training run in progress (see _grad_stack),
-# keyed by (layout, s); None outside _operator_memo.
-_run_grad_stacks: ContextVar[dict | None] = ContextVar("_run_grad_stacks", default=None)
+class _Run:
+    """The state of one training run: each (template, kind) layer operator,
+    each stack buffer and each gradient stack, built once and dropped with
+    the run. A one-sample pass makes a run of depth 1."""
 
+    def __init__(self, depth: int = STACK_SAMPLES) -> None:
+        self.depth = depth
+        # Keyed by (id(template), kind); each entry also holds its template,
+        # so the id cannot pass to another graph while the run exists.
+        self._operators = {}
+        self._buffers = {}
+        self._grad_stacks = {}
 
-@contextlib.contextmanager
-def _operator_memo():
-    """Build each (template, kind) operator, each stack buffer and each
-    gradient stack once inside the block; drop them all when it ends."""
-    operators = _run_operators.set({})
-    workspace = _run_workspace.set({})
-    grad_stacks = _run_grad_stacks.set({})
-    try:
-        yield
-    finally:
-        _run_grad_stacks.reset(grad_stacks)
-        _run_workspace.reset(workspace)
-        _run_operators.reset(operators)
+    def operator(self, g: UGraph, kind: str) -> np.ndarray:
+        """The run's shared, read-only layer operator of g."""
+        key = (id(g), kind)
+        if key not in self._operators:
+            op = _layer_operator(g, kind)
+            op.flags.writeable = False
+            self._operators[key] = (g, op)
+        return self._operators[key][1]
 
+    def stack(self, name, s: int, *shape: int) -> np.ndarray:
+        """An uninitialised (s, *shape) array: the first s slots of the run's
+        depth-deep buffer for (name, shape), which the next stack overwrites."""
+        key = (name, shape)
+        if key not in self._buffers:
+            self._buffers[key] = np.empty((self.depth, *shape))
+        return self._buffers[key][:s]
 
-def _operator(g: UGraph, kind: str) -> np.ndarray:
-    """The layer operator of g: the run's shared, read-only copy inside
-    _operator_memo, a fresh build outside it."""
-    memo = _run_operators.get()
-    if memo is None:
-        return _layer_operator(g, kind)
-    key = (id(g), kind)
-    entry = memo.get(key)
-    if entry is None:
-        op = _layer_operator(g, kind)
-        op.flags.writeable = False
-        entry = memo[key] = (g, op)
-    return entry[1]
-
-
-def _stack(name, s: int, *shape: int) -> np.ndarray:
-    """An uninitialised (s, *shape) array: inside _operator_memo the first s
-    slots of the run's STACK_SAMPLES-deep buffer for (name, shape), which
-    the next stack overwrites; a fresh array outside it."""
-    workspace = _run_workspace.get()
-    if workspace is None:
-        return np.empty((s, *shape))
-    key = (name, shape)
-    buf = workspace.get(key)
-    if buf is None:
-        buf = workspace[key] = np.empty((STACK_SAMPLES, *shape))
-    return buf[:s]
+    def grad_stack(self, params: ModelParams, s: int) -> ModelParams:
+        """params' layout over an uninitialised (s, P) stack of per-sample
+        gradients, P the parameter count: every array an (s, ...) view, made
+        once per s over the run's buffer."""
+        key = (params.layout(), s)
+        if key not in self._grad_stacks:
+            buf = self.stack(("grads", key[0]), s, params.vec.size)
+            self._grad_stacks[key] = params._over(buf)
+        return self._grad_stacks[key]
 
 
 def _runs(plans: list[PropagationPlan]):
@@ -288,13 +270,13 @@ def _runs(plans: list[PropagationPlan]):
             start = i
 
 
-def _stack_layer_forward(i: int, x, ops, p):
+def _stack_layer_forward(i: int, x, ops, p, run: _Run):
     """Layer i over a stack; the output and the cache for
     _stack_layer_backward, which always ends with the ReLU pre-activation."""
     s, m, in_dim = x.shape
 
     def buf(name, dim):
-        return _stack((name, i), s, m, dim)
+        return run.stack((name, i), s, m, dim)
 
     if p.kind == "gin":
         c = 1.0 + float(p.eps)
@@ -314,15 +296,15 @@ def _stack_layer_forward(i: int, x, ops, p):
     return out, (sx, pre)
 
 
-def _stack_layer_backward(i: int, dout, cache, ops, p, grads, input_grad: bool):
+def _stack_layer_backward(i: int, dout, cache, ops, p, grads, run: _Run):
     """Write layer i's per-sample parameter gradients into grads, the
     layer's (s, ...) views of the gradient stack, and return the input
-    gradient if input_grad; an operator is symmetric, so it is its own
-    transpose."""
+    gradient, which only the first layer (i = 0) never forms; an operator is
+    symmetric, so it is its own transpose."""
     s, m, _ = dout.shape
 
     def buf(name, *shape):
-        return _stack((name, i), s, *shape)
+        return run.stack((name, i), s, *shape)
 
     if p.kind == "gin":
         c, x, z, h, pre = cache
@@ -336,7 +318,7 @@ def _stack_layer_backward(i: int, dout, cache, ops, p, grads, input_grad: bool):
         dz = np.matmul(dpre, p.w1.T, out=buf("dz", m, in_dim))
         dzx = np.multiply(dz, x, out=buf("dzx", m, in_dim))
         np.add.reduce(dzx, axis=(1, 2), out=grads.eps)
-        if not input_grad:
+        if i == 0:
             return None
         adz = np.matmul(ops, dz, out=buf("adz", m, in_dim))
         dx = np.multiply(dz, c, out=dzx)
@@ -346,24 +328,10 @@ def _stack_layer_backward(i: int, dout, cache, ops, p, grads, input_grad: bool):
     dpre = np.multiply(dout, pre > 0.0, out=buf("dpre", m, pre.shape[2]))
     np.matmul(sx.transpose(0, 2, 1), dpre, out=grads.w)
     np.add.reduce(dpre, axis=1, out=grads.b)
-    if not input_grad:
+    if i == 0:
         return None
     dsx = np.matmul(dpre, p.w.T, out=buf("dsx", m, p.w.shape[0]))
     return np.matmul(ops, dsx, out=buf("dx", m, p.w.shape[0]))
-
-
-def _grad_stack(params: ModelParams, s: int) -> ModelParams:
-    """params' layout over an uninitialised (s, P) stack of per-sample
-    gradients, P the parameter count: every array an (s, ...) view. Inside
-    _operator_memo the views are made once per s over the run's buffer."""
-    stacks = _run_grad_stacks.get()
-    key = (params.layout(), s)
-    stack = None if stacks is None else stacks.get(key)
-    if stack is None:
-        stack = params._over(_stack(("grads", key[0]), s, params.vec.size))
-        if stacks is not None:
-            stacks[key] = stack
-    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +349,9 @@ def readout(plan: PropagationPlan, params: ModelParams, h: np.ndarray) -> float:
     return _logit(h[: plan.original_count].sum(axis=0), params)
 
 
-def _stack_forward(plans: list[PropagationPlan], params: ModelParams, xs) -> tuple:
+def _stack_forward(
+    plans: list[PropagationPlan], params: ModelParams, xs, run: _Run
+) -> tuple:
     """Forward pass of a run of samples that share an extended count.
 
     Returns the final embeddings (s, m, hidden), each sample's readout row
@@ -390,7 +360,7 @@ def _stack_forward(plans: list[PropagationPlan], params: ModelParams, xs) -> tup
     s, m = len(plans), plans[0].extended_count
     first = params.layers[0]
     in_dim = (first.w1 if first.kind == "gin" else first.w).shape[0]
-    h = _stack("x", s, m, in_dim)
+    h = run.stack("x", s, m, in_dim)
     for k, (plan, x) in enumerate(zip(plans, xs)):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape != (plan.original_count, in_dim):
@@ -409,12 +379,12 @@ def _stack_forward(plans: list[PropagationPlan], params: ModelParams, xs) -> tup
     layers = []
     for i, layer in enumerate(params.layers):
         ops = np.stack(
-            [_operator(plan.layer_graphs[i], layer.kind) for plan in plans],
-            out=_stack(("ops", i), s, m, m),
+            [run.operator(plan.layer_graphs[i], layer.kind) for plan in plans],
+            out=run.stack(("ops", i), s, m, m),
         )
-        h, cache = _stack_layer_forward(i, h, ops, layer)
+        h, cache = _stack_layer_forward(i, h, ops, layer, run)
         layers.append((ops, cache))
-    sums = _stack("sums", s, h.shape[2])
+    sums = run.stack("sums", s, h.shape[2])
     logits = []
     for k, plan in enumerate(plans):
         np.add.reduce(h[k, : plan.original_count], axis=0, out=sums[k])
@@ -422,22 +392,24 @@ def _stack_forward(plans: list[PropagationPlan], params: ModelParams, xs) -> tup
     return h, sums, logits, layers
 
 
-def _stack_backward(plans, params: ModelParams, sums, layers, dzs, acc) -> None:
+def _stack_backward(
+    plans, params: ModelParams, sums, layers, dzs, acc, run: _Run
+) -> None:
     """Add each sample's parameter gradients to the flat vector acc, in
     sample order; the first layer's input gradient is never formed."""
     s, hidden = sums.shape
-    grads = _grad_stack(params, s)
+    grads = run.grad_stack(params, s)
     dz = np.array(dzs)
     np.multiply(sums, dz[:, None], out=grads.readout_w)
     grads.readout_b[...] = dz
-    dh = _stack(("dout", len(layers) - 1), s, plans[0].extended_count, hidden)
+    dh = run.stack(("dout", len(layers) - 1), s, plans[0].extended_count, hidden)
     dh.fill(0.0)
     for k, plan in enumerate(plans):
         np.multiply(params.readout_w, dzs[k], out=dh[k, : plan.original_count])
     for i in range(len(layers) - 1, -1, -1):
         ops, cache = layers[i]
         dh = _stack_layer_backward(
-            i, dh, cache, ops, params.layers[i], grads.layers[i], input_grad=i > 0
+            i, dh, cache, ops, params.layers[i], grads.layers[i], run
         )
     # Slot 0 takes the running total, then the reduce adds the slots in
     # sample order: a reduce along axis 0 goes slot by slot for every
@@ -452,8 +424,8 @@ def model_forward(
 ) -> tuple[np.ndarray, float]:
     """Run the layer schedule; returns final embeddings and the prediction
     logit (or regression value)."""
-    h, _, (z,), _ = _stack_forward([plan], params, [x])
-    return h[0].copy(), z  # inside a run, h is a buffer the next stack reuses
+    h, _, (z,), _ = _stack_forward([plan], params, [x], _Run(depth=1))
+    return h[0], z
 
 
 # No command calls this yet: it is to be reported by `train --trace`.
@@ -464,7 +436,7 @@ def relu_kink_margin(plan: PropagationPlan, params: ModelParams, x: np.ndarray) 
     the probe step; a margin near zero means the loss is not differentiable
     at the current parameters.
     """
-    _, _, _, layers = _stack_forward([plan], params, [x])
+    _, _, _, layers = _stack_forward([plan], params, [x], _Run(depth=1))
     return min(float(np.abs(cache[-1]).min()) for _, cache in layers)
 
 
@@ -480,10 +452,11 @@ def loss_and_grads(
     plans: list[PropagationPlan],
     params: ModelParams,
     batch: list[tuple[np.ndarray, float]],
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean BCE loss and mean gradients over a batch of (features, label)
-    pairs; plans and samples pair up elementwise. The gradients are
-    per-name views of one vector laid out as params.vec."""
+    run: _Run,
+) -> tuple[float, np.ndarray]:
+    """Mean BCE loss and mean gradient over a batch of (features, label)
+    pairs; plans and samples pair up elementwise. The gradient is one
+    vector laid out as params.vec."""
     if not batch:
         raise ValueError("empty batch")
     if len(plans) != len(batch):
@@ -491,26 +464,26 @@ def loss_and_grads(
     total = 0.0
     acc = np.zeros_like(params.vec)
     for start, stop in _runs(plans):
-        run = batch[start:stop]
+        part = batch[start:stop]
         _, sums, logits, layers = _stack_forward(
-            plans[start:stop], params, [x for x, _ in run]
+            plans[start:stop], params, [x for x, _ in part], run
         )
         dzs = []
-        for z, (_, label) in zip(logits, run):
+        for z, (_, label) in zip(logits, part):
             value, dz = _loss_and_dz(z, label)
             total += value
             dzs.append(dz)
-        _stack_backward(plans[start:stop], params, sums, layers, dzs, acc)
+        _stack_backward(plans[start:stop], params, sums, layers, dzs, acc, run)
     scale = 1.0 / len(batch)
     mean_loss = total * scale
     if not math.isfinite(mean_loss):
         raise TrainingDiverged(f"non-finite loss {mean_loss}")
     acc *= scale
-    grads = _views(acc, params.layout())
     if not np.all(np.isfinite(acc)):
-        name = next(n for n, g in grads.items() if not np.all(np.isfinite(g)))
+        views = _views(acc, params.layout())
+        name = next(n for n, g in views if not np.all(np.isfinite(g)))
         raise TrainingDiverged(f"non-finite gradient in {name}")
-    return mean_loss, grads
+    return mean_loss, acc
 
 
 # ---------------------------------------------------------------------------
@@ -533,26 +506,18 @@ class AdamState:
 
 def adam_step(
     params: ModelParams,
-    grads: dict[str, np.ndarray],
+    g: np.ndarray,
     state: AdamState,
     lr: float,
 ) -> ModelParams:
-    """One Adam update over the whole parameter vector. Returns fresh
-    parameters; state advances in place."""
-    layout = params.layout()
-    if state.m.shape != params.vec.shape or state.v.shape != params.vec.shape:
-        raise ValueError(
-            f"Adam state holds {state.m.size} moments for {params.vec.size} parameters"
-        )
-    for name, shape in layout:
-        if np.shape(grads[name]) != shape:
+    """One Adam update from the gradient g, laid out as params.vec. Returns
+    fresh parameters; state advances in place."""
+    vectors = (("gradient", g), ("first moment", state.m), ("second moment", state.v))
+    for name, vec in vectors:
+        if np.shape(vec) != params.vec.shape:
             raise ValueError(
-                f"gradient {name} has shape {np.shape(grads[name])}, "
-                f"the parameter {shape}"
+                f"{name} has shape {np.shape(vec)}, the parameters {params.vec.shape}"
             )
-    g = np.concatenate(
-        [np.asarray(grads[name], dtype=np.float64).reshape(-1) for name, _ in layout]
-    )
     state.step += 1
     t = state.step
     # The expressions of a per-array step, elementwise in the same order.
@@ -682,11 +647,11 @@ class TrainConfig:
     train_sizes: tuple[int, ...] = (20, 40, 60, 100, 200, 300, 400, 500, 1000, 2000, 4000)
 
     def __post_init__(self) -> None:
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(
-                f"learning rate must be finite and positive, got {self.learning_rate}"
-            )
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not 0 < lr < math.inf:
+            raise ValueError(f"learning rate must be finite and positive, got {lr!r}")
         counts = {
+            "seed": self.seed,
             "epochs": self.epochs,
             "batch_size": self.batch_size,
             "hidden_dim": self.hidden_dim,
@@ -696,6 +661,8 @@ class TrainConfig:
         for name, n in counts.items():
             if not isinstance(n, int) or isinstance(n, bool):
                 raise ValueError(f"{name} must be an int, got {n!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
         if self.hidden_dim < 1 or self.num_layers < 1:
@@ -729,6 +696,7 @@ def error_rate(
     plans: list[PropagationPlan],
     params: ModelParams,
     samples,
+    run: _Run,
 ) -> float:
     """Share of samples whose logit falls on the wrong side of zero; plans
     and samples pair up elementwise."""
@@ -738,26 +706,25 @@ def error_rate(
         raise ValueError(f"{len(plans)} plans for {len(samples)} samples")
     wrong = 0
     for start, stop in _runs(plans):
-        run = samples[start:stop]
+        part = samples[start:stop]
         _, _, logits, _ = _stack_forward(
-            plans[start:stop], params, [s.features for s in run]
+            plans[start:stop], params, [s.features for s in part], run
         )
-        for z, sample in zip(logits, run):
+        for z, sample in zip(logits, part):
             if not math.isfinite(z):
                 raise TrainingDiverged(f"non-finite logit {z}")
             wrong += int((z > 0.0) != bool(sample.label))
     return wrong / len(samples)
 
 
-@_operator_memo()
 def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[CurveRow]:
     """Learning curve over config.train_sizes on nested training subsets.
 
     plan_builder maps a graph to its PropagationPlan; equal graphs share one
-    plan, and every plan must follow config.scheme. Each layer operator is
-    built once per (template, kind), each stack buffer once per (name,
-    shape), and all are dropped when the call returns. A run
-    whose loss, gradients, final parameters or evaluation logits stop being
+    plan, and every plan must follow config.scheme. The call makes one
+    _Run: each layer operator is built once per (template, kind), each stack
+    buffer once per (name, shape), and all are dropped when the call
+    returns. A run whose loss, gradients, final parameters or evaluation logits stop being
     finite is recorded as failed and does not stop the remaining sizes.
     """
     if not dataset.test:
@@ -774,6 +741,7 @@ def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[Cu
         return plan
 
     test_plans = [plan_for(s.graph) for s in dataset.test]
+    run = _Run()
     feature_dim = dataset.train[0].features.shape[1] if dataset.train else 0
     rows = []
     for size in config.train_sizes:
@@ -797,13 +765,13 @@ def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[Cu
                     idx = order[start : start + config.batch_size]
                     batch = [(subset[i].features, float(subset[i].label)) for i in idx]
                     plans = [subset_plans[i] for i in idx]
-                    _, grads = loss_and_grads(plans, params, batch)
-                    params = adam_step(params, grads, state, config.learning_rate)
+                    _, g = loss_and_grads(plans, params, batch, run)
+                    params = adam_step(params, g, state, config.learning_rate)
             # The last Adam step is not followed by a loss_and_grads check.
             if not np.all(np.isfinite(params.vec)):
                 raise TrainingDiverged("non-finite parameters after training")
-            train_error = error_rate(subset_plans, params, subset)
-            test_error = error_rate(test_plans, params, dataset.test)
+            train_error = error_rate(subset_plans, params, subset, run)
+            test_error = error_rate(test_plans, params, dataset.test, run)
         except TrainingDiverged:
             rows.append(
                 CurveRow(dataset.structure, size, config.seed, 1.0, 1.0, failed=True)

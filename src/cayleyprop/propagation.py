@@ -199,7 +199,7 @@ def plan_summary(plan: PropagationPlan) -> dict:
         "original_count": plan.original_count,
         "extended_count": plan.extended_count,
         "virtual_node_range": list(plan.virtual_range),
-        "virtual_init": "zeros",  # extend_features pads with zero rows
+        "virtual_init": "zeros",  # nn zero-fills the virtual rows of every stack
         "layer_kinds": list(plan.layer_kinds),
     }
 

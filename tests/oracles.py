@@ -27,7 +27,6 @@ from cayleyprop.nn import (
     ModelParams,
     _layer_operator,
     _loss_and_dz,
-    _operator,
     readout,
 )
 from cayleyprop.propagation import PropagationPlan, extend_features
@@ -268,7 +267,7 @@ def _forward_cached(plan: PropagationPlan, params: ModelParams, x: np.ndarray):
     h = extend_features(x, plan.extended_count)
     caches = []
     for layer, g in zip(params.layers, plan.layer_graphs):
-        op = _operator(g, layer.kind)
+        op = _layer_operator(g, layer.kind)
         h, cache = _layer_forward(h, op, layer)
         caches.append((layer, op, cache))
     z = readout(plan, params, h)

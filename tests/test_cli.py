@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
+import cayleyprop
 from cayleyprop import spectral
 from cayleyprop.cli import main
 from cayleyprop.graphcore import (
@@ -220,7 +225,37 @@ class TestAnalyze:
         assert json.loads(out)["diameter"] == "disconnected"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class TestSweep:
+    def test_module_entry_pins_blas_to_one_thread(self, tmp_path):
+        # On two OpenBLAS threads row 239 prints cheeger_lower as
+        # 0.0367868893129, on one as 0.036786889313. `python -m cayleyprop`
+        # must write the one-thread CSV whether or not the caller pinned BLAS.
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        src = str(Path(cayleyprop.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        csvs = []
+        for name, pinned in (("unset", {}), ("one", dict.fromkeys(BLAS_THREAD_VARS, "1"))):
+            out = tmp_path / f"{name}.csv"
+            subprocess.run(
+                [
+                    sys.executable, "-m", "cayleyprop", "sweep",
+                    "--v-min", "236", "--v-max", "240", "--out", str(out),
+                    "--cache-dir", str(tmp_path / f"cache-{name}"),
+                ],
+                env={**env, **pinned},
+                check=True,
+                capture_output=True,
+                timeout=120,
+            )
+            csvs.append(out.read_bytes())
+        assert csvs[0].count(b"\n") == 6  # header and v = 236..240
+        assert csvs[0] == csvs[1]
+
     def test_csv_written(self, capsys, cache_dir, tmp_path):
         out_file = tmp_path / "sweep.csv"
         code, _, _ = run(

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -267,7 +268,7 @@ class TestLossAndGrads:
             readout_b=np.zeros(()),
         )
         batch = [(np.ones((3, 2)), 1.0), (np.ones((3, 2)), 0.0)]
-        loss, _ = loss_and_grads([plan] * len(batch), params, batch)
+        loss, _ = loss_and_grads([plan] * len(batch), params, batch, nn._Run())
         assert loss == pytest.approx(math.log(2.0))
 
     def test_gradient_matches_finite_differences(self, cache):
@@ -316,14 +317,28 @@ class TestLossAndGrads:
         params = init_params(np.random.default_rng(0), "gin", 2, 3, 1)
         params.readout_w[:] = np.inf
         with pytest.raises(TrainingDiverged):
-            loss_and_grads([plan], params, [(np.ones((2, 2)), 1.0)])
+            loss_and_grads([plan], params, [(np.ones((2, 2)), 1.0)], nn._Run())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_is_named(self):
+        # A finite loss (the logit is 2e100) over a gradient that overflows:
+        # dL/dw = sx * readout_w * dz = 1e200 * 1e200 per node.
+        plan = build_plan(UGraph(2, [(0, 1)]), "Base", 1)
+        params = ModelParams(
+            layers=[GCNLayerParams(w=np.full((1, 1), 1e-300), b=np.zeros(1))],
+            readout_w=np.full(1, 1e200),
+            readout_b=np.zeros(()),
+        )
+        x = np.full((2, 1), 1e200)
+        with pytest.raises(TrainingDiverged, match="gradient in layers.0.gcn.w$"):
+            loss_and_grads([plan], params, [(x, 0.0)], nn._Run())
 
     def test_plan_batch_length_mismatch(self):
         g = UGraph(2, [(0, 1)])
         plan = build_plan(g, "Base", 1)
         params = init_params(np.random.default_rng(0), "gin", 2, 3, 1)
         with pytest.raises(ValueError):
-            loss_and_grads([plan, plan], params, [(np.ones((2, 2)), 1.0)])
+            loss_and_grads([plan, plan], params, [(np.ones((2, 2)), 1.0)], nn._Run())
 
     @pytest.mark.parametrize("num_layers", [1, 3])
     @pytest.mark.parametrize("kind", LAYER_KINDS)
@@ -331,9 +346,9 @@ class TestLossAndGrads:
     def test_training_path_matches_per_sample_oracle(
         self, cache, scheme, kind, num_layers
     ):
-        # The run memo shares one operator per (template, kind) across the
-        # batch; the oracle builds every operator afresh per sample. Loss and
-        # every gradient must agree bit for bit, on a cold and a warm memo.
+        # The run shares one operator per (template, kind) across the batch;
+        # the oracle builds every operator afresh per sample. Loss and every
+        # gradient must agree bit for bit, on a cold and a warm run.
         graphs = [gen_graph("BA", 20, seed, m=2) for seed in range(5)]
         plans = [build_plan(g, scheme, num_layers, cache=cache) for g in graphs]
         if scheme in ("CGP", "CGPLast", "CGPEvery"):
@@ -341,25 +356,7 @@ class TestLossAndGrads:
         rng = np.random.default_rng(8)
         params = init_params(rng, kind, 6, 5, num_layers)
         batch = [(rng.standard_normal((20, 6)), float(i % 2)) for i in range(5)]
-
-        total = 0.0
-        expected = zero_grads(params)
-        for plan, (x, label) in zip(plans, batch):
-            value, grads, _ = sample_gradients(plan, params, x, label)
-            total += value
-            for name, g in grads.items():
-                expected[name] += g
-        scale = 1.0 / len(batch)
-        for name in expected:
-            expected[name] *= scale
-
-        with nn._operator_memo():
-            for _ in range(2):
-                loss, grads = loss_and_grads(plans, params, batch)
-                assert loss == total * scale
-                assert grads.keys() == expected.keys()
-                for name, g in grads.items():
-                    assert g.tobytes() == expected[name].tobytes(), name
+        assert_matches_oracle(plans, params, batch)
 
 
 def oracle_loss_and_grads(plans, params, batch):
@@ -380,13 +377,15 @@ def oracle_loss_and_grads(plans, params, batch):
 
 def assert_matches_oracle(plans, params, batch):
     want_loss, want = oracle_loss_and_grads(plans, params, batch)
-    with nn._operator_memo():
-        for _ in range(2):  # a cold and a warm workspace
-            loss, grads = loss_and_grads(plans, params, batch)
-            assert loss == want_loss
-            assert grads.keys() == want.keys()
-            for name, g in grads.items():
-                assert g.tobytes() == want[name].tobytes(), name
+    run = nn._Run()
+    for _ in range(2):  # a cold and a warm run
+        loss, g = loss_and_grads(plans, params, batch, run)
+        assert loss == want_loss
+        assert g.shape == params.vec.shape
+        views = dict(nn._views(g, params.layout()))
+        assert views.keys() == want.keys()
+        for name, view in views.items():
+            assert view.tobytes() == want[name].tobytes(), name
 
 
 class TestStackedEngine:
@@ -430,8 +429,8 @@ class TestStackedEngine:
             (_forward_cached(plan, params, x)[1] > 0.0) != bool(y)
             for plan, (x, y) in zip(plans, batch)
         )
-        with nn._operator_memo():
-            assert nn.error_rate(plans, params, samples) == wrong / len(samples)
+        got = nn.error_rate(plans, params, samples, nn._Run())
+        assert got == wrong / len(samples)
 
     @pytest.mark.parametrize("kind", LAYER_KINDS)
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -451,7 +450,7 @@ class TestStackedEngine:
         params = init_params(np.random.default_rng(0), "gin", 2, 3, 1)
         for x in (np.ones((3, 1)), np.ones((2, 2))):
             with pytest.raises(ValueError, match="do not match"):
-                loss_and_grads([plan], params, [(x, 1.0)])
+                loss_and_grads([plan], params, [(x, 1.0)], nn._Run())
 
 
 class TestErrorRate:
@@ -463,11 +462,11 @@ class TestErrorRate:
 
     def test_plan_sample_length_mismatch(self):
         with pytest.raises(ValueError, match="2 plans for 3 samples"):
-            nn.error_rate(self.plans[:2], self.params, self.samples)
+            nn.error_rate(self.plans[:2], self.params, self.samples, nn._Run())
 
     def test_no_samples(self):
         with pytest.raises(ValueError, match="no samples"):
-            nn.error_rate([], self.params, ())
+            nn.error_rate([], self.params, (), nn._Run())
 
 
 class TestAdam:
@@ -475,16 +474,15 @@ class TestAdam:
         params = init_params(np.random.default_rng(0), "gin", 2, 3, 1)
         state = AdamState.for_params(params)
         before = {n: a.copy() for n, a in params.arrays()}
-        stepped = adam_step(params, {n: np.zeros_like(a) for n, a in params.arrays()}, state, 1e-3)
+        stepped = adam_step(params, np.zeros_like(params.vec), state, 1e-3)
         for name, arr in stepped.arrays():
             np.testing.assert_array_equal(arr, before[name])
 
     def test_first_step_magnitude_is_lr(self):
         params = init_params(np.random.default_rng(1), "gin", 2, 3, 1)
         state = AdamState.for_params(params)
-        grads = {n: np.full_like(a, 0.5) for n, a in params.arrays()}
         before = {n: a.copy() for n, a in params.arrays()}
-        stepped = adam_step(params, grads, state, 1e-2)
+        stepped = adam_step(params, np.full_like(params.vec, 0.5), state, 1e-2)
         for name, arr in stepped.arrays():
             # bias correction makes the first update lr * g / (|g| + eps)
             np.testing.assert_allclose(before[name] - arr, 1e-2, rtol=1e-6)
@@ -492,10 +490,10 @@ class TestAdam:
     def test_constant_gradient_step_approaches_lr_sign(self):
         params = init_params(np.random.default_rng(2), "gin", 2, 3, 1)
         state = AdamState.for_params(params)
-        grads = {n: np.full_like(a, -2.0) for n, a in params.arrays()}
+        g = np.full_like(params.vec, -2.0)
         prev = params
         for _ in range(500):
-            prev, params = params, adam_step(params, grads, state, 1e-3)
+            prev, params = params, adam_step(params, g, state, 1e-3)
         deltas = [
             a - dict(prev.arrays())[n]
             for n, a in params.arrays()
@@ -507,7 +505,7 @@ class TestAdam:
         params = init_params(np.random.default_rng(3), "gin", 2, 3, 1)
         state = AdamState.for_params(params)
         snapshot = {n: a.copy() for n, a in params.arrays()}
-        adam_step(params, {n: np.ones_like(a) for n, a in params.arrays()}, state, 1e-3)
+        adam_step(params, np.ones_like(params.vec), state, 1e-3)
         for name, arr in params.arrays():
             np.testing.assert_array_equal(arr, snapshot[name])
 
@@ -527,16 +525,16 @@ class TestWholeVector:
         assert all(not np.any(a) for _, a in copied.arrays())
         assert params.vec.tobytes() == before.tobytes()
 
-    def test_gradients_are_views_of_one_vector(self):
+    def test_gradient_is_one_vector_laid_out_as_params(self):
         plan = build_plan(UGraph(3, [(0, 1)]), "Base", 1)
         params = init_params(np.random.default_rng(5), "gcn", 2, 3, 1)
-        _, grads = loss_and_grads([plan], params, [(np.ones((3, 2)), 1.0)])
-        assert [(n, g.shape) for n, g in grads.items()] == [
-            (n, a.shape) for n, a in params.arrays()
-        ]
-        vec = grads["readout.b"].base
-        assert vec.size == params.vec.size
-        assert all(g.base is vec for g in grads.values())
+        x = np.ones((3, 2))
+        _, g = loss_and_grads([plan], params, [(x, 1.0)], nn._Run())
+        assert g.shape == params.vec.shape and g.dtype == np.float64
+        assert not np.shares_memory(g, params.vec)
+        _, want = oracle_loss_and_grads([plan], params, [(x, 1.0)])
+        packed = np.concatenate([want[n].reshape(-1) for n, _ in params.layout()])
+        assert g.tobytes() == packed.tobytes()
 
     @pytest.mark.parametrize("kind", LAYER_KINDS)
     def test_adam_matches_the_per_array_oracle(self, kind):
@@ -549,7 +547,8 @@ class TestWholeVector:
         want_state = oracles.AdamState.for_params(want)
         for _ in range(5):
             grads = {n: rng.standard_normal(a.shape) for n, a in params.arrays()}
-            params = adam_step(params, grads, state, 1e-2)
+            g = np.concatenate([grads[n].reshape(-1) for n, _ in params.layout()])
+            params = adam_step(params, g, state, 1e-2)
             want = oracles.adam_step(want, grads, want_state, 1e-2)
             assert state.step == want_state.step
             for got, moments in ((state.m, want_state.m), (state.v, want_state.v)):
@@ -560,13 +559,20 @@ class TestWholeVector:
 
     def test_adam_rejects_mismatched_gradients_and_state(self):
         params = init_params(np.random.default_rng(6), "gin", 2, 3, 1)
-        grads = {n: np.zeros_like(a) for n, a in params.arrays()}
-        grads["readout.w"] = np.zeros(4)
-        with pytest.raises(ValueError, match="gradient readout.w"):
-            adam_step(params, grads, AdamState.for_params(params), 1e-3)
-        with pytest.raises(ValueError, match="moments"):
-            state = AdamState(np.zeros(3), np.zeros(3))
-            adam_step(params, zero_grads(params), state, 1e-3)
+        size = params.vec.size
+        g = np.zeros(size)
+        for bad in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((1, size)), 0.0):
+            state = AdamState.for_params(params)
+            with pytest.raises(ValueError, match="gradient has shape"):
+                adam_step(params, bad, state, 1e-3)
+            assert state.step == 0
+            with pytest.raises(ValueError, match="first moment has shape"):
+                adam_step(params, g, AdamState(bad, np.zeros(size)), 1e-3)
+            with pytest.raises(ValueError, match="second moment has shape"):
+                adam_step(params, g, AdamState(np.zeros(size), bad), 1e-3)
+        # The per-name dict the gradient used to be is refused too.
+        with pytest.raises(ValueError, match="gradient has shape"):
+            adam_step(params, zero_grads(params), AdamState.for_params(params), 1e-3)
 
 
 class TestSumTask:
@@ -683,7 +689,8 @@ class TestTrain:
     @pytest.mark.parametrize(
         "field, value",
         [("epochs", 1.5), ("batch_size", 2.5), ("hidden_dim", 2.0),
-         ("num_layers", True), ("epochs", np.int64(2)), ("batch_size", "8")],
+         ("num_layers", True), ("epochs", np.int64(2)), ("batch_size", "8"),
+         ("seed", 1.5), ("seed", True), ("seed", np.int64(1)), ("seed", "0")],
     )
     def test_config_rejects_non_int_counts(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an int"):
@@ -694,7 +701,12 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"train_sizes\[\d\] must be an int"):
             TrainConfig(train_sizes=sizes)
 
-    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_config_rejects_negative_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, True, False])
     def test_config_rejects_non_finite_learning_rate(self, lr):
         with pytest.raises(ValueError, match="learning rate"):
             TrainConfig(learning_rate=lr)
@@ -765,6 +777,20 @@ class TestTrain:
 
 
 class TestOperatorMemo:
+    @staticmethod
+    def record_runs(monkeypatch):
+        """Weak references to the _Run of every loss_and_grads call."""
+        runs = []
+        loss_and_grads = nn.loss_and_grads
+
+        def recording(plans, params, batch, run):
+            if not runs or runs[-1]() is not run:
+                runs.append(weakref.ref(run))
+            return loss_and_grads(plans, params, batch, run)
+
+        monkeypatch.setattr(nn, "loss_and_grads", recording)
+        return runs
+
     def test_one_build_per_template_and_kind_per_run(self, cache, monkeypatch):
         built = []
         adjacency = UGraph.adjacency_matrix
@@ -774,6 +800,7 @@ class TestOperatorMemo:
             return adjacency(g, *args, **kwargs)
 
         monkeypatch.setattr(UGraph, "adjacency_matrix", counting_adjacency)
+        runs = self.record_runs(monkeypatch)
         ds = gen_sum_task("BA", 12, seed=4, test_size=5)
         config = TrainConfig(
             epochs=2,
@@ -795,30 +822,34 @@ class TestOperatorMemo:
         (cayley,) = {id(p.cayley_template) for p in plans}
         assert len(built) == len(templates) == len(plans) + 1
         assert [id(g) for g in built].count(cayley) == 1
-        assert nn._run_operators.get() is None
-        assert nn._run_workspace.get() is None
+        # One run served both train sizes, and nothing of it outlives train.
+        (run,) = runs
+        assert run() is None
 
-        # Nothing outlives a run: a second run builds every operator again.
+        # A second call makes a new run, which builds every operator again.
         built.clear()
         assert train(scheme_plan_builder("CGP", 2, cache=cache), ds, config) == rows
         assert len(built) == len(templates)
+        assert len(runs) == 2 and runs[1]() is None
 
     def test_workspace_is_dropped_when_a_run_raises(self, monkeypatch):
-        seen = []
+        runs = self.record_runs(monkeypatch)
+        depths = []
 
-        def failing_step(params, grads, state, lr):
-            seen.append(dict(nn._run_workspace.get()))
+        def failing_step(params, g, state, lr):
+            depths.extend(buf.shape[0] for buf in runs[-1]()._buffers.values())
             raise RuntimeError("stop")
 
         monkeypatch.setattr(nn, "adam_step", failing_step)
         ds = gen_sum_task("BA", 12, seed=4, test_size=5)
         config = TrainConfig(epochs=1, batch_size=12, hidden_dim=4, train_sizes=(12,))
-        with pytest.raises(RuntimeError, match="stop"):
+        with pytest.raises(RuntimeError, match="stop") as info:
             train(scheme_plan_builder("Base", 1), ds, config)
-        (workspace,) = seen
         # Every buffer is STACK_SAMPLES deep, whatever the stack size.
-        assert workspace and all(
-            buf.shape[0] == nn.STACK_SAMPLES for buf in workspace.values()
-        )
-        assert nn._run_workspace.get() is None
-        assert nn._run_operators.get() is None
+        assert depths and all(d == nn.STACK_SAMPLES for d in depths)
+        # The traceback holds train's frame, and with it the run, until the
+        # exception is dropped.
+        (run,) = runs
+        assert run() is not None
+        del info
+        assert run() is None
