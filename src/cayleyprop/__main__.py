@@ -9,9 +9,11 @@ the caller set is kept.
 import os
 import sys
 
+from . import BLAS_THREAD_VARS
+
 
 def main() -> int:
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in BLAS_THREAD_VARS:
         os.environ.setdefault(var, "1")
     from .cli import main as cli_main
 

@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 import tempfile
 import time
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .cayley import CayleyCache, smallest_modulus, write_atomic
 from .graphcore import (
     EdgeListParseError,
@@ -68,6 +69,7 @@ def _emit_manifest(args, outputs: list[str], seeds=(), extra=None):
         "seeds": seeds,
         "outputs": outputs,
         "wall_seconds": time.perf_counter() - args._started,
+        "blas": _blas_facts(),
     }
     if extra:
         manifest.update(extra)
@@ -76,6 +78,20 @@ def _emit_manifest(args, outputs: list[str], seeds=(), extra=None):
         path = f"{outputs[0]}.manifest.json" if outputs else "cayleyprop-manifest.json"
     write_atomic(Path(path), json.dumps(manifest, indent=2) + "\n")
     return manifest
+
+
+def _blas_facts() -> dict:
+    """The BLAS numpy was built with and the thread-count variables as this
+    process sees them (None when unset): a run made on more than one BLAS
+    thread may print other last digits."""
+    config = np.show_config(mode="dicts").get("Build Dependencies", {})
+    blas = config.get("blas", {})
+    return {
+        "name": blas.get("name"),
+        "version": blas.get("version"),
+        "configuration": blas.get("openblas configuration"),
+        "thread_variables": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
 
 
 def _int_list(text: str, minimum: int) -> list[int]:

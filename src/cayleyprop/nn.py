@@ -1,12 +1,15 @@
 """Minimal dense message-passing engine: GIN and GCN layers with exact
 reverse-mode gradients, Adam, and the synthetic sum-classification task.
 
-Everything runs in float64. Consecutive samples that share an extended node
-count run as one (s, m, F) stack of at most STACK_SAMPLES graphs: each
-product is one np.matmul, which makes the same BLAS call per slice as one
-sample alone would, and per-sample gradients are added in sample order, so
-a batch gives the bytes of the one-sample-at-a-time path (kept as the test
-oracle). Every parameter array is a view of one flat vector; the batch
+Everything runs in float64. Consecutive samples that share an original and
+an extended node count run as one (s, m, F) stack of at most STACK_SAMPLES
+graphs: each product is one np.matmul, which makes the same BLAS call per
+slice as one sample alone would, and per-sample gradients are added in
+sample order, so a batch gives the bytes of the one-sample-at-a-time path
+(kept as the test oracle). Features, virtual rows, readout sums and the
+readout gradient are filled with one call per stack, and a layer whose
+template is one graph for the whole stack passes its one (m, m) operator,
+which np.matmul broadcasts over the stack. Every parameter array is a view of one flat vector; the batch
 gradient is one vector in the same layout, averaged over the batch, and
 Adam steps the whole vector with the per-array arithmetic. A training run
 passes one _Run, which holds its layer operators and stack buffers, to
@@ -29,13 +32,15 @@ from .propagation import SCHEMES, PropagationPlan, build_plan
 
 LAYER_KINDS = ("gin", "gcn")
 
-# Samples per stack: consecutive samples that share an extended node count
-# run through the layers as one (s, m, F) stack of at most this many. Each
-# stack buffer holds this many slots for the whole training run, so this
-# bounds the run's workspace: on the perfbench train workload 16-sample
-# stacks cost about 3.5 MiB of peak RSS more than 8, which the extended input
-# templates pay back by sharing their input graph's edge tuples (UGraph
-# keeps a canonical pair instead of copying it).
+# Samples per stack: consecutive samples that share an original and an
+# extended node count run through the layers as one (s, m, F) stack of at
+# most this many. Each stack buffer holds this many slots for the whole
+# training run, so this bounds the run's workspace: on the perfbench train
+# workload 16-sample stacks cost about 3.5 MiB of peak RSS more than 8, which
+# the extended input templates pay back by sharing their input graph's edge
+# tuples (UGraph keeps a canonical pair instead of copying it). A template
+# shared by the whole stack needs no operator buffer, so a Cayley layer near
+# the dense cap does not reserve 16 copies of its m x m operator.
 STACK_SAMPLES = 16
 
 ADAM_BETA1 = 0.9
@@ -257,15 +262,12 @@ class _Run:
 
 
 def _runs(plans: list[PropagationPlan]):
-    """(start, stop) of each run of consecutive plans that share an extended
-    count, cut every STACK_SAMPLES samples."""
+    """(start, stop) of each run of consecutive plans that share an original
+    and an extended count, cut every STACK_SAMPLES samples."""
+    counts = [(plan.original_count, plan.extended_count) for plan in plans]
     start = 0
     for i in range(1, len(plans) + 1):
-        if (
-            i == len(plans)
-            or i - start == STACK_SAMPLES
-            or plans[i].extended_count != plans[start].extended_count
-        ):
+        if i == len(plans) or i - start == STACK_SAMPLES or counts[i] != counts[start]:
             yield start, i
             start = i
 
@@ -301,6 +303,10 @@ def _stack_layer_backward(i: int, dout, cache, ops, p, grads, run: _Run):
     layer's (s, ...) views of the gradient stack, and return the input
     gradient, which only the first layer (i = 0) never forms; an operator is
     symmetric, so it is its own transpose."""
+    # The products against w.T stay on the transposed view, as in the
+    # oracle: a C-contiguous copy runs faster, but OpenBLAS's SkylakeX
+    # small-matrix kernels round it differently at some shapes (a hidden
+    # width of 32, or two rows).
     s, m, _ = dout.shape
 
     def buf(name, *shape):
@@ -339,57 +345,74 @@ def _stack_layer_backward(i: int, dout, cache, ops, p, grads, run: _Run):
 # ---------------------------------------------------------------------------
 
 
-def _logit(row_sum: np.ndarray, params: ModelParams) -> float:
-    return float(row_sum @ params.readout_w + params.readout_b)
-
-
 def readout(plan: PropagationPlan, params: ModelParams, h: np.ndarray) -> float:
     """Sum the original-node rows and apply the linear head. Virtual rows
     never enter the prediction."""
-    return _logit(h[: plan.original_count].sum(axis=0), params)
+    row_sum = h[: plan.original_count].sum(axis=0)
+    return float(row_sum @ params.readout_w + params.readout_b)
 
 
 def _stack_forward(
     plans: list[PropagationPlan], params: ModelParams, xs, run: _Run
 ) -> tuple:
-    """Forward pass of a run of samples that share an extended count.
+    """Forward pass of a run of samples that share an original and an
+    extended count.
 
     Returns the final embeddings (s, m, hidden), each sample's readout row
-    sum (s, hidden), the logits and each layer's (operators, cache).
+    sum (s, hidden), the logits and each layer's (operators, cache). A layer
+    whose template is one graph for the whole stack gets its one (m, m)
+    operator, which np.matmul broadcasts over the stack.
     """
-    s, m = len(plans), plans[0].extended_count
+    s, rows, m = len(plans), plans[0].original_count, plans[0].extended_count
     first = params.layers[0]
     in_dim = (first.w1 if first.kind == "gin" else first.w).shape[0]
     h = run.stack("x", s, m, in_dim)
-    for k, (plan, x) in enumerate(zip(plans, xs)):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape != (plan.original_count, in_dim):
-            raise ValueError(
-                f"features of shape {x.shape} do not match the plan's "
-                f"{plan.original_count} original nodes and the model's "
-                f"{in_dim} input features"
-            )
-        if len(params.layers) != plan.num_layers:
-            raise ValueError(
-                f"model has {len(params.layers)} layers, plan schedules "
-                f"{plan.num_layers}"
-            )
-        h[k, : plan.original_count] = x
-        h[k, plan.original_count :] = 0.0
+    _copy_features(xs, h[:, :rows])
+    h[:, rows:] = 0.0
+    other_depths = {plan.num_layers for plan in plans} - {len(params.layers)}
+    if other_depths:
+        raise ValueError(
+            f"model has {len(params.layers)} layers, plan schedules "
+            f"{min(other_depths)}"
+        )
     layers = []
     for i, layer in enumerate(params.layers):
-        ops = np.stack(
-            [run.operator(plan.layer_graphs[i], layer.kind) for plan in plans],
-            out=run.stack(("ops", i), s, m, m),
-        )
+        graphs = [plan.layer_graphs[i] for plan in plans]
+        if all(g is graphs[0] for g in graphs):
+            ops = run.operator(graphs[0], layer.kind)
+        else:
+            ops = np.stack(
+                [run.operator(g, layer.kind) for g in graphs],
+                out=run.stack(("ops", i), s, m, m),
+            )
         h, cache = _stack_layer_forward(i, h, ops, layer, run)
         layers.append((ops, cache))
-    sums = run.stack("sums", s, h.shape[2])
-    logits = []
-    for k, plan in enumerate(plans):
-        np.add.reduce(h[k, : plan.original_count], axis=0, out=sums[k])
-        logits.append(_logit(sums[k], params))
+    sums = np.add.reduce(h[:, :rows], axis=1, out=run.stack("sums", s, h.shape[2]))
+    # One BLAS dot per sample, as readout's `@` makes: ndarray.dot reaches it
+    # in a third of the time, and a float add rounds as the float64 add does.
+    # A whole-stack gemv rounds differently.
+    w, b = params.readout_w, float(params.readout_b)
+    logits = [float(row_sum.dot(w)) + b for row_sum in sums]
     return h, sums, logits, layers
+
+
+def _copy_features(xs, out: np.ndarray) -> None:
+    """Copy each sample's features into its slot of out, an (s, rows, F)
+    view, read as np.asarray(x, dtype=np.float64) reads them."""
+    try:
+        np.stack(xs, out=out, casting="unsafe")
+    except ValueError:
+        # A shape other than (rows, F): np.atleast_2d still takes a 1-D row
+        # for a one-node graph; anything else is refused by name.
+        xs = [np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in xs]
+        for x in xs:
+            if x.shape != out.shape[1:]:
+                raise ValueError(
+                    f"features of shape {x.shape} do not match the plan's "
+                    f"{out.shape[1]} original nodes and the model's "
+                    f"{out.shape[2]} input features"
+                ) from None
+        np.stack(xs, out=out)
 
 
 def _stack_backward(
@@ -398,14 +421,14 @@ def _stack_backward(
     """Add each sample's parameter gradients to the flat vector acc, in
     sample order; the first layer's input gradient is never formed."""
     s, hidden = sums.shape
+    rows, m = plans[0].original_count, plans[0].extended_count
     grads = run.grad_stack(params, s)
     dz = np.array(dzs)
     np.multiply(sums, dz[:, None], out=grads.readout_w)
     grads.readout_b[...] = dz
-    dh = run.stack(("dout", len(layers) - 1), s, plans[0].extended_count, hidden)
-    dh.fill(0.0)
-    for k, plan in enumerate(plans):
-        np.multiply(params.readout_w, dzs[k], out=dh[k, : plan.original_count])
+    dh = run.stack(("dout", len(layers) - 1), s, m, hidden)
+    np.multiply(params.readout_w, dz[:, None, None], out=dh[:, :rows])
+    dh[:, rows:] = 0.0
     for i in range(len(layers) - 1, -1, -1):
         ops, cache = layers[i]
         dh = _stack_layer_backward(
@@ -577,6 +600,9 @@ def gen_sum_task(
         raise ValueError(
             f"unknown structure {structure!r}; expected one of {SUM_TASK_STRUCTURES}"
         )
+    for name, n in (("train_size", train_size), ("test_size", test_size)):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"{name} must be a non-negative int, got {n!r}")
     teacher = np.random.default_rng([seed, _SEED_TAG_TEACHER]).standard_normal(
         SUM_TASK_FEATURE_DIM
     )
@@ -648,7 +674,11 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         lr = self.learning_rate
-        if isinstance(lr, bool) or not 0 < lr < math.inf:
+        try:
+            valid = not isinstance(lr, bool) and 0 < lr < math.inf
+        except TypeError:  # a str, None or another value that does not order
+            valid = False
+        if not valid:
             raise ValueError(f"learning rate must be finite and positive, got {lr!r}")
         counts = {
             "seed": self.seed,

@@ -232,7 +232,8 @@ class TestSweep:
     def test_module_entry_pins_blas_to_one_thread(self, tmp_path):
         # On two OpenBLAS threads row 239 prints cheeger_lower as
         # 0.0367868893129, on one as 0.036786889313. `python -m cayleyprop`
-        # must write the one-thread CSV whether or not the caller pinned BLAS.
+        # must write the one-thread CSV whether or not the caller pinned BLAS,
+        # and its manifest must say so.
         env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
         src = str(Path(cayleyprop.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
@@ -253,6 +254,10 @@ class TestSweep:
                 timeout=120,
             )
             csvs.append(out.read_bytes())
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            blas = manifest["blas"]
+            assert blas["thread_variables"] == dict.fromkeys(BLAS_THREAD_VARS, "1")
+            assert blas["name"] and blas["version"]
         assert csvs[0].count(b"\n") == 6  # header and v = 236..240
         assert csvs[0] == csvs[1]
 

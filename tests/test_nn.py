@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import types
 import weakref
 
@@ -390,25 +391,44 @@ def assert_matches_oracle(plans, params, batch):
 
 class TestStackedEngine:
     def test_runs_cut_at_count_changes_and_stack_size(self):
-        # A full stack, its remainder, then cuts at every count change.
+        # A full stack, its remainder, then cuts at every count change:
+        # both counts, the extended count alone and the original count alone.
         n = nn.STACK_SAMPLES
-        counts = [24] * (n + 2) + [48, 24, 24, 48]
-        plans = [types.SimpleNamespace(extended_count=c) for c in counts]
+        counts = [(20, 24)] * (n + 2) + [(30, 48), (20, 24), (20, 24), (20, 48)]
+        counts += [(22, 24), (22, 24), (20, 24)]
+        plans = [
+            types.SimpleNamespace(original_count=o, extended_count=e)
+            for o, e in counts
+        ]
         assert list(nn._runs(plans)) == [
-            (0, n), (n, n + 2), (n + 2, n + 3), (n + 3, n + 5), (n + 5, n + 6)
+            (0, n), (n, n + 2), (n + 2, n + 3), (n + 3, n + 5), (n + 5, n + 6),
+            (n + 6, n + 8), (n + 8, n + 9),
         ]
 
-    @pytest.mark.parametrize("hidden", [5, 1])
+    @pytest.mark.parametrize(
+        "in_dim, hidden, sizes",
+        [(6, 5, [20] * 33), (6, 1, [20] * 33), (128, 64, [20] * 5 + [22] + [20] * 28)],
+        ids=["5", "1", "128-64"],
+    )
     @pytest.mark.parametrize("kind", LAYER_KINDS)
-    def test_batch_across_a_stack_boundary_matches_oracle(self, cache, kind, hidden):
-        # 33 samples end in a stack of one for any power-of-two stack size
-        # up to 32. A hidden width of 1 makes every bias gradient a size-1
-        # total.
-        graphs = [gen_graph("BA", 20, seed, m=2) for seed in range(33)]
+    def test_batch_across_a_stack_boundary_matches_oracle(
+        self, cache, kind, in_dim, hidden, sizes
+    ):
+        # 33 BA-20 samples end in a stack of one for any power-of-two stack
+        # size up to 32. A hidden width of 1 makes every bias gradient a
+        # size-1 total. The perfbench widths (128 features, 64 hidden) may
+        # take other BLAS kernels than small ones; there a 22-node graph,
+        # which CGP pads to 24 nodes as it does the 20-node ones, cuts a
+        # stack on the original count alone.
+        graphs = [gen_graph("BA", n, seed, m=2) for seed, n in enumerate(sizes)]
         plans = [build_plan(g, "CGP", 2, cache=cache) for g in graphs]
+        assert len({p.extended_count for p in plans}) == 1
         rng = np.random.default_rng(31)
-        params = init_params(rng, kind, 6, hidden, 2)
-        batch = [(rng.standard_normal((20, 6)), float(i % 3 == 0)) for i in range(33)]
+        params = init_params(rng, kind, in_dim, hidden, 2)
+        batch = [
+            (rng.standard_normal((n, in_dim)), float(i % 3 == 0))
+            for i, n in enumerate(sizes)
+        ]
         assert_matches_oracle(plans, params, batch)
 
     @pytest.mark.parametrize("kind", LAYER_KINDS)
@@ -451,6 +471,23 @@ class TestStackedEngine:
         for x in (np.ones((3, 1)), np.ones((2, 2))):
             with pytest.raises(ValueError, match="do not match"):
                 loss_and_grads([plan], params, [(x, 1.0)], nn._Run())
+            # A stack names the shape of the sample that does not fit.
+            batch = [(np.ones((3, 2)), 1.0), (x, 1.0)]
+            message = re.escape(f"features of shape {x.shape}")
+            with pytest.raises(ValueError, match=message):
+                loss_and_grads([plan, plan], params, batch, nn._Run())
+
+    def test_features_are_read_as_float64_rows(self):
+        # Lists, ints and a 1-D row for a one-node graph are read as
+        # np.asarray(x, dtype=np.float64) and np.atleast_2d read them.
+        plan = build_plan(UGraph(1), "Base", 1)
+        params = init_params(np.random.default_rng(0), "gin", 2, 3, 1)
+        row = np.array([[1.0, -2.0]])
+        loss, g = loss_and_grads([plan] * 2, params, [(row, 1.0)] * 2, nn._Run())
+        for x in ([[1, -2]], np.array([1, -2]), [1.0, -2.0]):
+            got, got_g = loss_and_grads([plan] * 2, params, [(x, 1.0)] * 2, nn._Run())
+            assert got == loss
+            assert got_g.tobytes() == g.tobytes()
 
 
 class TestErrorRate:
@@ -616,6 +653,21 @@ class TestSumTask:
         with pytest.raises(ValueError):
             gen_sum_task("Tree", 5, seed=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("train_size", -5), ("test_size", -2), ("train_size", 2.5),
+         ("test_size", 1.0), ("train_size", True), ("test_size", False),
+         ("train_size", np.int64(3))],
+    )
+    def test_rejects_negative_or_non_int_sizes(self, name, value):
+        sizes = {"train_size": 2, "test_size": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative int"):
+            gen_sum_task("BA", seed=0, **sizes)
+
+    def test_empty_splits_allowed(self):
+        ds = gen_sum_task("BA", 0, seed=0, test_size=0)
+        assert ds.train == () and ds.test == ()
+
     # SHA-256 of every feature matrix of gen_sum_task(s, 6, 2, test_size=3),
     # train then test, recorded before the rows were copied out of the pool.
     FEATURE_SHA256 = {
@@ -706,7 +758,7 @@ class TestTrain:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             TrainConfig(seed=seed)
 
-    @pytest.mark.parametrize("lr", [math.nan, math.inf, True, False])
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, True, False, "0.1", None])
     def test_config_rejects_non_finite_learning_rate(self, lr):
         with pytest.raises(ValueError, match="learning rate"):
             TrainConfig(learning_rate=lr)
