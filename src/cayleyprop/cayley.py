@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-import threading
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,22 +110,18 @@ class CayleyCache:
     """Two-level (memory, disk) cache of Cayley graphs keyed by modulus.
 
     Disk entries are edge-list files named by modulus and vertex count.
-    Reads are lock-protected so completed graphs can be shared across
-    threads.
     """
 
     def __init__(self, directory: str | Path | None = None):
         self.directory = Path(directory) if directory else default_cache_dir()
         self._memory: dict[int, UGraph] = {}
-        self._lock = threading.Lock()
 
     def path_for(self, n: int) -> Path:
         return self.directory / f"cayley-n{n}-v{sl2_order(n)}.edgelist"
 
     def graph(self, n: int) -> UGraph:
         """Cayley graph of modulus n as a plain UGraph, cached."""
-        with self._lock:
-            hit = self._memory.get(n)
+        hit = self._memory.get(n)
         if hit is not None:
             return hit
         path = self.path_for(n)
@@ -142,8 +137,7 @@ class CayleyCache:
         else:
             g = build_cayley(n).graph
             self._write_atomic(path, emit_edge_list(g))
-        with self._lock:
-            self._memory[n] = g
+        self._memory[n] = g
         return g
 
     def _write_atomic(self, path: Path, text: str) -> None:

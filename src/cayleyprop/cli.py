@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import json
 import os
@@ -81,17 +82,46 @@ def _emit_manifest(args, outputs: list[str], seeds=(), extra=None):
 
 
 def _blas_facts() -> dict:
-    """The BLAS numpy was built with and the thread-count variables as this
-    process sees them (None when unset): a run made on more than one BLAS
-    thread may print other last digits."""
+    """The BLAS numpy was built with, the kernel set it picked at run time
+    and the thread-count variables as this process sees them (None when
+    unset): a run made on more than one BLAS thread, or on other kernels,
+    may print other last digits."""
     config = np.show_config(mode="dicts").get("Build Dependencies", {})
     blas = config.get("blas", {})
     return {
         "name": blas.get("name"),
         "version": blas.get("version"),
         "configuration": blas.get("openblas configuration"),
+        "core": _blas_core(),
         "thread_variables": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
+
+
+def _blas_core() -> str | None:
+    """The kernel set (such as "SkylakeX") that the OpenBLAS mapped into this
+    process picked at run time, which may differ from its build
+    configuration; None when no OpenBLAS is mapped or it cannot be asked."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in (
+            "scipy_openblas_get_corename64_",
+            "openblas_get_corename64_",
+            "openblas_get_corename",
+        ):
+            if hasattr(handle, symbol):
+                corename = getattr(handle, symbol)
+                corename.restype = ctypes.c_char_p
+                core = corename()
+                return core.decode() if core is not None else None
+    return None
 
 
 def _int_list(text: str, minimum: int) -> list[int]:

@@ -9,12 +9,13 @@ sample order, so a batch gives the bytes of the one-sample-at-a-time path
 (kept as the test oracle). Features, virtual rows, readout sums and the
 readout gradient are filled with one call per stack, and a layer whose
 template is one graph for the whole stack passes its one (m, m) operator,
-which np.matmul broadcasts over the stack. Every parameter array is a view of one flat vector; the batch
-gradient is one vector in the same layout, averaged over the batch, and
-Adam steps the whole vector with the per-array arithmetic. A training run
-passes one _Run, which holds its layer operators and stack buffers, to
-every engine call. No batch normalization: the graphs here are tiny and
-exact gradient checks matter more than large-scale training tricks.
+which np.matmul broadcasts over the stack. Every parameter array is a view
+of one flat vector; the batch gradient is one vector in the same layout,
+averaged over the batch, and Adam steps the whole vector with the per-array
+arithmetic. A training run passes one _Run, which holds its layer operators
+and its gradient stack, to every engine call. No batch normalization: the
+graphs here are tiny and exact gradient checks matter more than large-scale
+training tricks.
 """
 
 from __future__ import annotations
@@ -34,13 +35,9 @@ LAYER_KINDS = ("gin", "gcn")
 
 # Samples per stack: consecutive samples that share an original and an
 # extended node count run through the layers as one (s, m, F) stack of at
-# most this many. Each stack buffer holds this many slots for the whole
-# training run, so this bounds the run's workspace: on the perfbench train
-# workload 16-sample stacks cost about 3.5 MiB of peak RSS more than 8, which
-# the extended input templates pay back by sharing their input graph's edge
-# tuples (UGraph keeps a canonical pair instead of copying it). A template
-# shared by the whole stack needs no operator buffer, so a Cayley layer near
-# the dense cap does not reserve 16 copies of its m x m operator.
+# most this many. A template shared by the whole stack passes its one (m, m)
+# operator, which np.matmul broadcasts, so a Cayley layer near the dense cap
+# is not copied into an (s, m, m) stack.
 STACK_SAMPLES = 16
 
 ADAM_BETA1 = 0.9
@@ -111,8 +108,10 @@ class ModelParams:
     readout_w: np.ndarray
     readout_b: np.ndarray  # 0-d
     vec: np.ndarray = field(init=False, repr=False, compare=False)
+    _layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self._layout = tuple((name, np.shape(arr)) for name, arr in self.arrays())
         self._bind(
             np.concatenate(
                 [np.asarray(a, dtype=np.float64).reshape(-1) for _, a in self.arrays()]
@@ -128,7 +127,7 @@ class ModelParams:
 
     def layout(self) -> tuple:
         """(name, shape) of every array, in vec order."""
-        return tuple((name, np.shape(arr)) for name, arr in self.arrays())
+        return self._layout
 
     def _bind(self, buf: np.ndarray) -> "ModelParams":
         """Make every array a view of buf's last axis, in place; leading axes
@@ -221,16 +220,15 @@ def _layer_operator(g: UGraph, kind: str) -> np.ndarray:
 
 
 class _Run:
-    """The state of one training run: each (template, kind) layer operator,
-    each stack buffer and each gradient stack, built once and dropped with
-    the run. A one-sample pass makes a run of depth 1."""
+    """The state of one training run: each (template, kind) layer operator
+    and, per parameter layout, one STACK_SAMPLES-deep gradient stack, built
+    once and dropped with the run."""
 
-    def __init__(self, depth: int = STACK_SAMPLES) -> None:
-        self.depth = depth
+    def __init__(self) -> None:
         # Keyed by (id(template), kind); each entry also holds its template,
         # so the id cannot pass to another graph while the run exists.
         self._operators = {}
-        self._buffers = {}
+        self._grad_buffers = {}
         self._grad_stacks = {}
 
     def operator(self, g: UGraph, kind: str) -> np.ndarray:
@@ -242,22 +240,17 @@ class _Run:
             self._operators[key] = (g, op)
         return self._operators[key][1]
 
-    def stack(self, name, s: int, *shape: int) -> np.ndarray:
-        """An uninitialised (s, *shape) array: the first s slots of the run's
-        depth-deep buffer for (name, shape), which the next stack overwrites."""
-        key = (name, shape)
-        if key not in self._buffers:
-            self._buffers[key] = np.empty((self.depth, *shape))
-        return self._buffers[key][:s]
-
     def grad_stack(self, params: ModelParams, s: int) -> ModelParams:
         """params' layout over an uninitialised (s, P) stack of per-sample
         gradients, P the parameter count: every array an (s, ...) view, made
-        once per s over the run's buffer."""
-        key = (params.layout(), s)
+        once per s over the first s rows of the layout's buffer, which the
+        next stack overwrites."""
+        layout = params.layout()
+        key = (layout, s)
         if key not in self._grad_stacks:
-            buf = self.stack(("grads", key[0]), s, params.vec.size)
-            self._grad_stacks[key] = params._over(buf)
+            if layout not in self._grad_buffers:
+                self._grad_buffers[layout] = np.empty((STACK_SAMPLES, params.vec.size))
+            self._grad_stacks[key] = params._over(self._grad_buffers[layout][:s])
         return self._grad_stacks[key]
 
 
@@ -272,33 +265,26 @@ def _runs(plans: list[PropagationPlan]):
             start = i
 
 
-def _stack_layer_forward(i: int, x, ops, p, run: _Run):
-    """Layer i over a stack; the output and the cache for
+def _stack_layer_forward(x, ops, p):
+    """One layer over a stack; the output and the cache for
     _stack_layer_backward, which always ends with the ReLU pre-activation."""
-    s, m, in_dim = x.shape
-
-    def buf(name, dim):
-        return run.stack((name, i), s, m, dim)
-
     if p.kind == "gin":
         c = 1.0 + float(p.eps)
-        ax = np.matmul(ops, x, out=buf("ax", in_dim))
-        z = np.multiply(x, c, out=buf("z", in_dim))
-        z += ax
-        pre = np.matmul(z, p.w1, out=buf("pre", p.w1.shape[1]))
+        z = x * c
+        z += ops @ x
+        pre = z @ p.w1
         pre += p.b1
-        h = np.maximum(pre, 0.0, out=buf("h", p.w1.shape[1]))
-        out = np.matmul(h, p.w2, out=buf("out", p.w2.shape[1]))
+        h = np.maximum(pre, 0.0)
+        out = h @ p.w2
         out += p.b2
         return out, (c, x, z, h, pre)
-    sx = np.matmul(ops, x, out=buf("ax", in_dim))
-    pre = np.matmul(sx, p.w, out=buf("pre", p.w.shape[1]))
+    sx = ops @ x
+    pre = sx @ p.w
     pre += p.b
-    out = np.maximum(pre, 0.0, out=buf("out", p.w.shape[1]))
-    return out, (sx, pre)
+    return np.maximum(pre, 0.0), (sx, pre)
 
 
-def _stack_layer_backward(i: int, dout, cache, ops, p, grads, run: _Run):
+def _stack_layer_backward(i: int, dout, cache, ops, p, grads):
     """Write layer i's per-sample parameter gradients into grads, the
     layer's (s, ...) views of the gradient stack, and return the input
     gradient, which only the first layer (i = 0) never forms; an operator is
@@ -307,37 +293,28 @@ def _stack_layer_backward(i: int, dout, cache, ops, p, grads, run: _Run):
     # oracle: a C-contiguous copy runs faster, but OpenBLAS's SkylakeX
     # small-matrix kernels round it differently at some shapes (a hidden
     # width of 32, or two rows).
-    s, m, _ = dout.shape
-
-    def buf(name, *shape):
-        return run.stack((name, i), s, *shape)
-
     if p.kind == "gin":
         c, x, z, h, pre = cache
-        in_dim = x.shape[2]
         np.matmul(h.transpose(0, 2, 1), dout, out=grads.w2)
         np.add.reduce(dout, axis=1, out=grads.b2)
-        dpre = np.matmul(dout, p.w2.T, out=buf("dpre", m, pre.shape[2]))
+        dpre = dout @ p.w2.T
         dpre *= pre > 0.0
         np.matmul(z.transpose(0, 2, 1), dpre, out=grads.w1)
         np.add.reduce(dpre, axis=1, out=grads.b1)
-        dz = np.matmul(dpre, p.w1.T, out=buf("dz", m, in_dim))
-        dzx = np.multiply(dz, x, out=buf("dzx", m, in_dim))
-        np.add.reduce(dzx, axis=(1, 2), out=grads.eps)
+        dz = dpre @ p.w1.T
+        np.add.reduce(dz * x, axis=(1, 2), out=grads.eps)
         if i == 0:
             return None
-        adz = np.matmul(ops, dz, out=buf("adz", m, in_dim))
-        dx = np.multiply(dz, c, out=dzx)
-        dx += adz
+        dx = dz * c
+        dx += ops @ dz
         return dx
     sx, pre = cache
-    dpre = np.multiply(dout, pre > 0.0, out=buf("dpre", m, pre.shape[2]))
+    dpre = dout * (pre > 0.0)
     np.matmul(sx.transpose(0, 2, 1), dpre, out=grads.w)
     np.add.reduce(dpre, axis=1, out=grads.b)
     if i == 0:
         return None
-    dsx = np.matmul(dpre, p.w.T, out=buf("dsx", m, p.w.shape[0]))
-    return np.matmul(ops, dsx, out=buf("dx", m, p.w.shape[0]))
+    return ops @ (dpre @ p.w.T)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +343,8 @@ def _stack_forward(
     s, rows, m = len(plans), plans[0].original_count, plans[0].extended_count
     first = params.layers[0]
     in_dim = (first.w1 if first.kind == "gin" else first.w).shape[0]
-    h = run.stack("x", s, m, in_dim)
+    h = np.zeros((s, m, in_dim))
     _copy_features(xs, h[:, :rows])
-    h[:, rows:] = 0.0
     other_depths = {plan.num_layers for plan in plans} - {len(params.layers)}
     if other_depths:
         raise ValueError(
@@ -381,13 +357,10 @@ def _stack_forward(
         if all(g is graphs[0] for g in graphs):
             ops = run.operator(graphs[0], layer.kind)
         else:
-            ops = np.stack(
-                [run.operator(g, layer.kind) for g in graphs],
-                out=run.stack(("ops", i), s, m, m),
-            )
-        h, cache = _stack_layer_forward(i, h, ops, layer, run)
+            ops = np.stack([run.operator(g, layer.kind) for g in graphs])
+        h, cache = _stack_layer_forward(h, ops, layer)
         layers.append((ops, cache))
-    sums = np.add.reduce(h[:, :rows], axis=1, out=run.stack("sums", s, h.shape[2]))
+    sums = np.add.reduce(h[:, :rows], axis=1)
     # One BLAS dot per sample, as readout's `@` makes: ndarray.dot reaches it
     # in a third of the time, and a float add rounds as the float64 add does.
     # A whole-stack gemv rounds differently.
@@ -426,14 +399,11 @@ def _stack_backward(
     dz = np.array(dzs)
     np.multiply(sums, dz[:, None], out=grads.readout_w)
     grads.readout_b[...] = dz
-    dh = run.stack(("dout", len(layers) - 1), s, m, hidden)
+    dh = np.zeros((s, m, hidden))
     np.multiply(params.readout_w, dz[:, None, None], out=dh[:, :rows])
-    dh[:, rows:] = 0.0
     for i in range(len(layers) - 1, -1, -1):
         ops, cache = layers[i]
-        dh = _stack_layer_backward(
-            i, dh, cache, ops, params.layers[i], grads.layers[i], run
-        )
+        dh = _stack_layer_backward(i, dh, cache, ops, params.layers[i], grads.layers[i])
     # Slot 0 takes the running total, then the reduce adds the slots in
     # sample order: a reduce along axis 0 goes slot by slot for every
     # column, as axis 0 is never its only axis (numpy sums a lone axis
@@ -447,7 +417,7 @@ def model_forward(
 ) -> tuple[np.ndarray, float]:
     """Run the layer schedule; returns final embeddings and the prediction
     logit (or regression value)."""
-    h, _, (z,), _ = _stack_forward([plan], params, [x], _Run(depth=1))
+    h, _, (z,), _ = _stack_forward([plan], params, [x], _Run())
     return h[0], z
 
 
@@ -459,7 +429,7 @@ def relu_kink_margin(plan: PropagationPlan, params: ModelParams, x: np.ndarray) 
     the probe step; a margin near zero means the loss is not differentiable
     at the current parameters.
     """
-    _, _, _, layers = _stack_forward([plan], params, [x], _Run(depth=1))
+    _, _, _, layers = _stack_forward([plan], params, [x], _Run())
     return min(float(np.abs(cache[-1]).min()) for _, cache in layers)
 
 
@@ -752,10 +722,10 @@ def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[Cu
 
     plan_builder maps a graph to its PropagationPlan; equal graphs share one
     plan, and every plan must follow config.scheme. The call makes one
-    _Run: each layer operator is built once per (template, kind), each stack
-    buffer once per (name, shape), and all are dropped when the call
-    returns. A run whose loss, gradients, final parameters or evaluation logits stop being
-    finite is recorded as failed and does not stop the remaining sizes.
+    _Run, which builds each layer operator once per (template, kind) and is
+    dropped when the call returns. A run whose loss, gradients, final
+    parameters or evaluation logits stop being finite is recorded as failed
+    and does not stop the remaining sizes.
     """
     if not dataset.test:
         raise ValueError("the dataset has no test samples")

@@ -258,6 +258,8 @@ class TestSweep:
             blas = manifest["blas"]
             assert blas["thread_variables"] == dict.fromkeys(BLAS_THREAD_VARS, "1")
             assert blas["name"] and blas["version"]
+            # The kernel set OpenBLAS picked at run time, when it can be asked.
+            assert "core" in blas and isinstance(blas["core"], (str, type(None)))
         assert csvs[0].count(b"\n") == 6  # header and v = 236..240
         assert csvs[0] == csvs[1]
 
