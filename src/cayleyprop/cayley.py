@@ -13,8 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graphcore import UGraph, emit_edge_list, parse_edge_list
-from .modgroup import Mat2Z, generators, mat_mul, sl2_order
+from .graphcore import EdgeListParseError, UGraph, emit_edge_list, parse_edge_list
+from .modgroup import generators, sl2_order
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
 CACHE_ENV_VAR = "CAYLEYPROP_CACHE_DIR"
@@ -29,26 +29,28 @@ class CayleyGraph:
     degree: int
 
 
-def build_cayley(n: int, budget: int = DEFAULT_VERTEX_BUDGET) -> CayleyGraph:
+def build_cayley(n: int) -> CayleyGraph:
     """BFS the whole group from the identity and collect generator edges."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     order = sl2_order(n)
-    if order > budget:
+    if order > DEFAULT_VERTEX_BUDGET:
         raise ValueError(
             f"Cay(SL(2, Z_{n})) requires {order} vertices, over the budget "
-            f"of {budget}"
+            f"of {DEFAULT_VERTEX_BUDGET}"
         )
     gens = generators(n)
-    identity = Mat2Z.identity(n)
-    index: dict[Mat2Z, int] = {identity: 0}
+    identity = (1, 0, 0, 1)
+    index = {identity: 0}
     edges: set[tuple[int, int]] = set()
-    queue: deque[Mat2Z] = deque([identity])
+    queue = deque([identity])
     while queue:
         x = queue.popleft()
+        a, b, c, d = x
         ix = index[x]
-        for s in gens:
-            y = mat_mul(x, s)
+        # x times the generator [[p, q], [r, s]], entries reduced mod n
+        for p, q, r, s in gens:
+            y = ((a*p + b*r) % n, (a*q + b*s) % n, (c*p + d*r) % n, (c*q + d*s) % n)
             iy = index.get(y)
             if iy is None:
                 iy = len(index)
@@ -60,11 +62,7 @@ def build_cayley(n: int, budget: int = DEFAULT_VERTEX_BUDGET) -> CayleyGraph:
             f"BFS reached {len(index)} elements, expected {order}; "
             "generating set does not generate the group"
         )
-    return CayleyGraph(
-        modulus=n,
-        graph=UGraph(order, sorted(edges)),
-        degree=len(gens),
-    )
+    return CayleyGraph(modulus=n, graph=UGraph(order, edges), degree=len(gens))
 
 
 def smallest_modulus(v: int) -> int:
@@ -126,7 +124,10 @@ class CayleyCache:
             return hit
         path = self.path_for(n)
         if path.is_file():
-            g = parse_edge_list(path.read_text())
+            try:
+                g = parse_edge_list(path.read_text())
+            except (EdgeListParseError, UnicodeDecodeError) as exc:
+                raise ValueError(f"corrupt cache file {path}: {exc}") from exc
             degree = len(generators(n))
             if g.node_count != sl2_order(n) or any(d != degree for d in g.degrees()):
                 raise ValueError(

@@ -32,6 +32,13 @@ class EdgeListParseError(ValueError):
         self.line_no = line_no
 
 
+def _as_int(x, what: str) -> int:
+    """x as a Python int; a numpy integer converts, a bool or a float is rejected."""
+    if type(x) is not int and not isinstance(x, np.integer):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return int(x)
+
+
 class UGraph:
     """Immutable undirected graph on nodes 0..node_count-1."""
 
@@ -43,33 +50,38 @@ class UGraph:
         edges: Iterable[tuple[int, int]] = (),
         self_loops: Iterable[int] = (),
     ):
+        if type(node_count) is not int:
+            node_count = _as_int(node_count, "node_count")
         if node_count < 0:
             raise ValueError(f"node_count must be >= 0, got {node_count}")
         canon = []
         seen: set[tuple[int, int]] = set()
         for e in edges:
             u, v = e
-            if u == v:
+            if type(u) is not int or type(v) is not int:
+                u, v = _as_int(u, "node id"), _as_int(v, "node id")
+                e = (u, v)
+            # A canonical pair is kept, not copied: plans share their input
+            # graph's edge tuples.
+            if u < v:
+                key = e if type(e) is tuple else (u, v)
+            elif u > v:
+                key = (v, u)
+            else:
                 raise ValueError(
                     f"ordinary edge ({u}, {v}) is a self-loop; "
                     "use the self_loops set"
                 )
-            if not (0 <= u < node_count and 0 <= v < node_count):
+            if key[0] < 0 or key[1] >= node_count:
                 raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
-            # A canonical pair is kept, not copied: plans share their input
-            # graph's edge tuples.
-            if u > v:
-                key = (v, u)
-            elif type(e) is tuple:
-                key = e
-            else:
-                key = (u, v)
             if key in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add(key)
             canon.append(key)
         canon.sort()
-        loops = frozenset(int(u) for u in self_loops)
+        loops = frozenset(
+            u if type(u) is int else _as_int(u, "self-loop node") for u in self_loops
+        )
         for u in loops:
             if not 0 <= u < node_count:
                 raise ValueError(f"self-loop node {u} out of range")

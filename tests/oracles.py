@@ -1,7 +1,9 @@
 """Reference implementations the tests check the library against.
 
-Brute-force and per-pair oracles for the diagnostics (group order, Cheeger
-constant, effective resistance), graph helpers that build test inputs
+The validating `Mat2Z` group element with `mat_mul`, and the group BFS
+built on them that `cayley.build_cayley` (plain residue tuples) must match
+edge for edge; brute-force and per-pair oracles for the diagnostics (group
+order, Cheeger constant, effective resistance), graph helpers that build test inputs
 (relabelling, disjoint unions, d-patterns, connectivity), the standalone
 layer forward, the per-sample training path and the per-array Adam step
 that the stacked, whole-vector engine in `cayleyprop.nn` must match bit for
@@ -12,6 +14,7 @@ path, so they live here rather than in the package.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import product
@@ -19,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from cayleyprop.graphcore import UGraph
-from cayleyprop.modgroup import Mat2Z
+from cayleyprop.modgroup import sl2_order
 from cayleyprop.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -39,6 +42,89 @@ CHEEGER_BRUTEFORCE_MAX_NODES = 20
 # ---------------------------------------------------------------------------
 # Group elements
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Mat2Z:
+    """A 2x2 matrix over Z_n with determinant 1 (an element of SL(2, Z_n))."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+    n: int
+
+    def __post_init__(self) -> None:
+        n = self.n
+        if n < 2:
+            raise ValueError(f"modulus must be >= 2, got {n}")
+        # Eager reduction keeps every stored element canonical and hashable.
+        object.__setattr__(self, "a", self.a % n)
+        object.__setattr__(self, "b", self.b % n)
+        object.__setattr__(self, "c", self.c % n)
+        object.__setattr__(self, "d", self.d % n)
+        if (self.a * self.d - self.b * self.c) % n != 1:
+            raise ValueError(
+                f"determinant of {self.entries()} is not 1 mod {n}"
+            )
+
+    @classmethod
+    def identity(cls, n: int) -> "Mat2Z":
+        return cls(1, 0, 0, 1, n)
+
+    def entries(self) -> tuple[int, int, int, int]:
+        return (self.a, self.b, self.c, self.d)
+
+    # Group arithmetic: kept beside mat_mul though only the tests call it.
+    def inverse(self) -> "Mat2Z":
+        # det == 1, so the adjugate is the inverse.
+        return Mat2Z(self.d, -self.b, -self.c, self.a, self.n)
+
+
+def mat_mul(x: Mat2Z, y: Mat2Z) -> Mat2Z:
+    """Product of two group elements, entries reduced mod n."""
+    if x.n != y.n:
+        raise ValueError(f"modulus mismatch: {x.n} != {y.n}")
+    n = x.n
+    return Mat2Z(
+        x.a * y.a + x.b * y.c,
+        x.a * y.b + x.b * y.d,
+        x.c * y.a + x.d * y.c,
+        x.c * y.b + x.d * y.d,
+        n,
+    )
+
+
+def build_cayley_mat2z(n: int) -> UGraph:
+    """Cay(SL(2, Z_n); S_n) by the FIFO BFS of `cayley.build_cayley`, with
+    every element a validated Mat2Z and every product a mat_mul."""
+    gens = list(
+        dict.fromkeys(
+            [
+                Mat2Z(1, 1, 0, 1, n),
+                Mat2Z(1, n - 1, 0, 1, n),
+                Mat2Z(1, 0, 1, 1, n),
+                Mat2Z(1, 0, n - 1, 1, n),
+            ]
+        )
+    )
+    identity = Mat2Z.identity(n)
+    index: dict[Mat2Z, int] = {identity: 0}
+    edges: set[tuple[int, int]] = set()
+    queue: deque[Mat2Z] = deque([identity])
+    while queue:
+        x = queue.popleft()
+        ix = index[x]
+        for s in gens:
+            y = mat_mul(x, s)
+            iy = index.get(y)
+            if iy is None:
+                iy = len(index)
+                index[y] = iy
+                queue.append(y)
+            edges.add((ix, iy) if ix < iy else (iy, ix))
+    assert len(index) == sl2_order(n)
+    return UGraph(len(index), sorted(edges))
 
 
 def enumerate_sl2_bruteforce(n: int) -> list[Mat2Z]:

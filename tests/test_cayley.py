@@ -1,4 +1,5 @@
 import hashlib
+import re
 import time
 
 import pytest
@@ -13,7 +14,7 @@ from cayleyprop.cayley import (
 from cayleyprop.graphcore import emit_edge_list, induced_prefix_subgraph
 from cayleyprop.modgroup import sl2_order
 from cayleyprop.spectral import analyze
-from oracles import is_connected
+from oracles import build_cayley_mat2z, is_connected
 
 # Regression anchor: the labelled BFS output is deterministic for the fixed
 # generator order, so the canonical edge list hashes to a constant.
@@ -55,9 +56,25 @@ class TestBuild:
         text = emit_edge_list(build_cayley(3).graph)
         assert hashlib.sha256(text.encode()).hexdigest() == CAYLEY_N3_EDGELIST_SHA256
 
-    def test_budget_error_names_required_count(self):
-        with pytest.raises(ValueError, match="1320"):
-            build_cayley(11, budget=1000)
+    def test_budget_error_names_required_count(self, monkeypatch):
+        # the budget is read when the build starts, not bound at import
+        monkeypatch.setattr(cayley, "DEFAULT_VERTEX_BUDGET", 1000)
+        with pytest.raises(ValueError, match="1320.*1000"):
+            build_cayley(11)
+
+    @pytest.mark.parametrize(
+        "n",
+        list(range(2, 21)) + [pytest.param(n, marks=pytest.mark.slow) for n in range(21, 31)],
+    )
+    def test_edge_list_matches_mat2z_oracle(self, n):
+        text = emit_edge_list(build_cayley(n).graph)
+        assert text == emit_edge_list(build_cayley_mat2z(n))
+
+    def test_incomplete_bfs_is_runtime_error(self, monkeypatch):
+        # two of the four generators reach only the upper triangular elements
+        monkeypatch.setattr(cayley, "generators", lambda n: [(1, 1, 0, 1), (1, n - 1, 0, 1)])
+        with pytest.raises(RuntimeError, match="reached 5 elements, expected 120"):
+            build_cayley(5)
 
 
 class TestSmallestModulus:
@@ -155,6 +172,18 @@ class TestCache:
         (tmp_path / "cayley-n5-v120.edgelist").write_text("120\n0 1\n")
         with pytest.raises(ValueError, match="corrupt cache file"):
             CayleyCache(tmp_path).graph(5)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"120\n0 1\n1 x\n", b"120\n0 1 2\n", b"0 1\n\xff\xfe\n"],
+        ids=["non-integer-id", "three-tokens", "not-utf8"],
+    )
+    def test_unparsable_cache_file_rejected(self, tmp_path, content):
+        path = tmp_path / "cayley-n5-v120.edgelist"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"corrupt cache file {path}: ")) as info:
+            CayleyCache(tmp_path).graph(5)
+        assert type(info.value) is ValueError
 
     def test_cached_fetch_strictly_faster_than_cold_build(self, tmp_path):
         import time

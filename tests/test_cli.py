@@ -156,6 +156,26 @@ class TestBuildCayley:
         assert code == 3
         assert "corrupt cache file" in err
 
+    def test_unparsable_cache_file_is_runtime_error(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / "cayley-n5-v120.edgelist"
+        path.write_text("120\n0 1\n0 x\n")
+        code, _, err = run(
+            [
+                "build-cayley",
+                "--n",
+                "5",
+                "--cache-dir",
+                str(cache),
+                "--manifest",
+                str(tmp_path / "m.json"),
+            ],
+            capsys,
+        )
+        assert code == 3
+        assert f"corrupt cache file {path}: line 3: non-integer ids" in err
+
     def test_by_target_nodes(self, capsys, cache_dir, tmp_path):
         code, out, _ = run(
             [

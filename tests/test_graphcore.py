@@ -82,11 +82,31 @@ class TestUGraph:
         "pairs, match",
         [([(0, 1), (0, 1)], "duplicate"), ([(0, 1), [1, 0]], "duplicate"),
          ([(1, 1)], "self-loop"), ([(0, 3)], "out of range"),
-         ([(-1, 2)], "out of range")],
+         ([(-1, 2)], "out of range"), ([(0.5, 2)], "node id 0.5 is not"),
+         ([(True, 2)], "node id True is not"), ([(0, 1), [1.0, 2]], "node id 1.0 is not"),
+         ([(0, np.float64(2))], r"node id .*2\.0\)? is not")],
     )
     def test_canonical_tuples_are_still_validated(self, pairs, match):
         with pytest.raises(ValueError, match=match):
             UGraph(3, pairs)
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [((2.0,), "node_count 2.0 is not"), ((True,), "node_count True is not"),
+         ((3, (), [1.7]), "self-loop node 1.7 is not"),
+         ((3, (), [False]), "self-loop node False is not")],
+    )
+    def test_non_integer_node_count_and_self_loops_rejected(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            UGraph(*args)
+
+    def test_numpy_integers_become_python_ints(self):
+        g = UGraph(np.int64(4), [(np.int32(0), 3)], [np.uint8(2)])
+        assert g == UGraph(4, [(0, 3)], [2])
+        assert type(g.node_count) is int
+        assert all(type(x) is int for e in g.edges for x in e)
+        assert all(type(u) is int for u in g.self_loops)
+        assert emit_edge_list(g) == "4\n0 3\n2 2\n"
 
     def test_equality(self):
         assert UGraph(3, [(1, 2), (0, 1)]) == UGraph(3, [(0, 1), (2, 1)])

@@ -1,12 +1,7 @@
 import pytest
 
-from cayleyprop.modgroup import (
-    Mat2Z,
-    generators,
-    mat_mul,
-    sl2_order,
-)
-from oracles import enumerate_sl2_bruteforce
+from cayleyprop.modgroup import generators, sl2_order
+from oracles import Mat2Z, enumerate_sl2_bruteforce, mat_mul
 
 
 def M(a, b, c, d, n):
@@ -63,7 +58,7 @@ class TestMatMul:
 
     def test_identity_two_sided(self):
         eye = Mat2Z.identity(7)
-        for g in generators(7):
+        for g in (Mat2Z(*e, 7) for e in generators(7)):
             assert mat_mul(eye, g) == g
             assert mat_mul(g, eye) == g
 
@@ -111,22 +106,31 @@ class TestEnumerate:
 class TestGenerators:
     def test_four_distinct_at_n3(self):
         gens = generators(3)
-        assert len(gens) == 4
-        assert len({g.entries() for g in gens}) == 4
+        assert gens == [(1, 1, 0, 1), (1, 2, 0, 1), (1, 0, 1, 1), (1, 0, 2, 1)]
 
     def test_two_distinct_at_n2(self):
-        gens = generators(2)
-        assert len(gens) == 2
+        assert generators(2) == [(1, 1, 0, 1), (1, 0, 1, 1)]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+    def test_residue_tuples_of_unit_determinant(self, n):
+        for g in generators(n):
+            assert type(g) is tuple and len(g) == 4
+            assert all(type(x) is int and 0 <= x < n for x in g)
+            a, b, c, d = g
+            assert (a * d - b * c) % n == 1
+            # the same element as the validating matrix class
+            assert Mat2Z(*g, n).entries() == g
 
     def test_no_identity_member(self):
         for n in (2, 3, 5, 7):
-            assert Mat2Z.identity(n) not in generators(n)
+            assert (1, 0, 0, 1) not in generators(n)
 
     def test_closed_under_inverse(self):
         for n in (2, 3, 5, 8):
             gens = generators(n)
-            for g in gens:
-                assert g.inverse() in gens
+            for a, b, c, d in gens:
+                # det == 1, so the adjugate, reduced mod n, is the inverse
+                assert (d, -b % n, -c % n, a) in gens
 
     def test_rejects_small_modulus(self):
         with pytest.raises(ValueError):
