@@ -42,7 +42,7 @@ def build_cayley(n: int) -> CayleyGraph:
     gens = generators(n)
     identity = (1, 0, 0, 1)
     index = {identity: 0}
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     queue = deque([identity])
     while queue:
         x = queue.popleft()
@@ -56,7 +56,11 @@ def build_cayley(n: int) -> CayleyGraph:
                 iy = len(index)
                 index[y] = iy
                 queue.append(y)
-            edges.add((ix, iy) if ix < iy else (iy, ix))
+            # S_n is symmetric and every vertex is expanded once, so each
+            # edge is met from both ends; keep it from its lower end. A
+            # product that fixes x gives (ix, ix), which UGraph refuses.
+            if ix <= iy:
+                edges.append((ix, iy))
     if len(index) != order:
         raise RuntimeError(
             f"BFS reached {len(index)} elements, expected {order}; "

@@ -375,7 +375,7 @@ def cmd_bench(args) -> int:
             p = 5.0 * np.log(n) / n if n > 1 else 0.0
             g = gen_graph("ER", n, args.seed, p=min(p, 1.0))
             t0 = time.perf_counter()
-            plan = build_plan(g, "CGP", args.layers, cache=cache)
+            plan = build_plan(g, "CGP", 2, cache=cache)
             elapsed = time.perf_counter() - t0
             lines.append(f"{n},{elapsed:.6f}")
             print(
@@ -509,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time CGP template construction on ER graphs")
     p.add_argument("--sizes", default=None, help="comma-separated node counts")
     p.add_argument("--n-max", type=int, default=10000)
-    p.add_argument("--layers", type=_int_from(1), default=2)
     p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--cold", action="store_true", help="use a fresh empty cache")
     p.add_argument("--out", required=True)

@@ -7,6 +7,7 @@ algorithms can include or exclude them deliberately.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from collections.abc import Iterable
 
@@ -55,7 +56,6 @@ class UGraph:
         if node_count < 0:
             raise ValueError(f"node_count must be >= 0, got {node_count}")
         canon = []
-        seen: set[tuple[int, int]] = set()
         for e in edges:
             u, v = e
             if type(u) is not int or type(v) is not int:
@@ -74,11 +74,12 @@ class UGraph:
                 )
             if key[0] < 0 or key[1] >= node_count:
                 raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
-            if key in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
             canon.append(key)
         canon.sort()
+        # Sorted, a repeated pair sits next to its twin.
+        for prev, key in zip(canon, canon[1:]):
+            if prev == key:
+                raise ValueError(f"duplicate edge {key}")
         loops = frozenset(
             u if type(u) is int else _as_int(u, "self-loop node") for u in self_loops
         )
@@ -175,7 +176,7 @@ def induced_prefix_subgraph(g: UGraph, v: int) -> UGraph:
         return g
     return UGraph(
         v,
-        [(a, b) for a, b in g.edges if a < v and b < v],
+        [e for e in g.edges if e[1] < v],
         [u for u in g.self_loops if u < v],
     )
 
@@ -249,9 +250,8 @@ def parse_edge_list(text: str, allow_self_loops: bool = False) -> UGraph:
 def emit_edge_list(g: UGraph) -> str:
     """Canonical text form; parse_edge_list round-trips it exactly."""
     lines = [str(g.node_count)]
-    entries = list(g.edges) + [(u, u) for u in sorted(g.self_loops)]
-    entries.sort()
-    lines.extend(f"{u} {v}" for u, v in entries)
+    loops = [(u, u) for u in sorted(g.self_loops)]
+    lines.extend(f"{u} {v}" for u, v in heapq.merge(g.edges, loops))
     return "\n".join(lines) + "\n"
 
 

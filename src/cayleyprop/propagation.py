@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cayley import CayleyCache, smallest_modulus
+from .cayley import CayleyCache, smallest_modulus, write_atomic
 from .graphcore import (
     UGraph,
     complete_graph,
@@ -218,15 +218,14 @@ def export_plan(plan: PropagationPlan, out_dir: str | Path, name: str) -> dict:
         )
     assert plan.cayley_template is not None
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     input_path = out_dir / f"{name}.input_extended.edgelist"
-    input_path.write_text(emit_edge_list(plan.input_template))
+    write_atomic(input_path, emit_edge_list(plan.input_template))
     cayley_path = out_dir / f"{name}.cayley.edgelist"
-    cayley_path.write_text(emit_edge_list(plan.cayley_template))
+    write_atomic(cayley_path, emit_edge_list(plan.cayley_template))
     manifest = plan_summary(plan)
     manifest["files"] = {
         "input_extended": input_path.name,
         "cayley": cayley_path.name,
     }
-    (out_dir / f"{name}.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    write_atomic(out_dir / f"{name}.json", json.dumps(manifest, indent=2) + "\n")
     return manifest

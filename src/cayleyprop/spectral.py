@@ -37,16 +37,11 @@ def laplacian(g: UGraph, kind: str = "normalized") -> np.ndarray:
         raise ValueError(f"unknown Laplacian kind {kind!r}")
     lap = g.adjacency_matrix()
     deg = lap.sum(axis=1)
-    _to_combinatorial(lap, deg)
+    np.negative(lap, out=lap)
+    lap[np.diag_indices_from(lap)] = deg
     if kind == "normalized":
         _to_normalized(lap, deg)
     return lap
-
-
-def _to_combinatorial(a: np.ndarray, deg: np.ndarray) -> None:
-    """Turn the adjacency matrix a into D - A in place."""
-    np.negative(a, out=a)
-    a[np.diag_indices_from(a)] = deg
 
 
 def _to_normalized(lap: np.ndarray, deg: np.ndarray) -> None:
@@ -232,18 +227,17 @@ def diameter_bfs(g: UGraph) -> int | None:
 def analyze(g: UGraph) -> SpectralReport:
     """Full spectral report; degenerate cases are reported, not raised.
 
-    One adjacency matrix serves both spectra: it becomes D - A in place for
-    the combinatorial spectrum, which feeds only r_tot, and then the
-    normalized Laplacian.
+    One matrix serves both spectra: D - A gives the combinatorial spectrum,
+    which feeds only r_tot, and then becomes the normalized Laplacian in
+    place.
     """
     n = g.node_count
     if n == 0:
         raise ValueError("cannot analyze an empty graph")
-    lap = g.adjacency_matrix()
-    deg = lap.sum(axis=1)
+    lap = laplacian(g, "combinatorial")
+    deg = lap.diagonal().copy()
     diameter = diameter_bfs(g)
     connected = diameter is not None
-    _to_combinatorial(lap, deg)
     if n == 1:
         r_tot = 0.0
     elif connected:

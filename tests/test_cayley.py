@@ -76,6 +76,17 @@ class TestBuild:
         with pytest.raises(RuntimeError, match="reached 5 elements, expected 120"):
             build_cayley(5)
 
+    def test_identity_generator_is_refused(self, monkeypatch):
+        # x * I = x: the product's edge is a self-loop, which UGraph refuses
+        gens = [(1, 1, 0, 1), (1, 0, 0, 1), (1, 4, 0, 1), (1, 0, 1, 1), (1, 0, 4, 1)]
+        monkeypatch.setattr(cayley, "generators", lambda n: gens)
+        with pytest.raises(ValueError, match=r"ordinary edge \(0, 0\) is a self-loop"):
+            build_cayley(5)
+
+    def test_rejects_modulus_below_two(self):
+        with pytest.raises(ValueError, match="modulus must be >= 2, got 1"):
+            build_cayley(1)
+
 
 class TestSmallestModulus:
     @pytest.mark.parametrize("v,n", [(1, 2), (6, 2), (7, 3), (24, 3), (25, 4), (121, 6)])
@@ -145,6 +156,16 @@ class TestTruncate:
             induced_prefix_subgraph(cg.graph, 0)
         with pytest.raises(ValueError):
             induced_prefix_subgraph(cg.graph, 7)
+
+
+class TestWriteAtomic:
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(TypeError):
+            cayley.write_atomic(path, None)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+        assert path.read_text() == "old\n"
 
 
 class TestCache:

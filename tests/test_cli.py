@@ -82,16 +82,24 @@ class TestExitCodes:
             (TRAIN + ["--learning-rate", "nan"], 1),
             (TRAIN + ["--learning-rate", "inf"], 1),
             (TRAIN + ["--seeds=-1"], 1),
+            (TRAIN + ["--seeds", "0,x"], 1),
             (TRAIN + ["--structures", ","], 1),
             (BENCH + ["--sizes", "0,10"], 1),
             (BENCH + ["--seed=-1"], 1),
+            (BENCH + ["--n-max", "5"], 1),
+            (["analyze", "empty.edgelist", "--truncate", "3"], 1),
+            (["analyze", "--cayley", "2", "--truncate", "7"], 1),
             (["analyze", "empty.edgelist"], 2),
             (["rewire", "dataset.json", "--out-dir", "rewired"], 2),
+            (["rewire", "missing.json", "--out-dir", "rewired"], 2),
+            (["rewire", "torn.json", "--out-dir", "rewired"], 2),
         ],
         ids=["test-size", "train-sizes", "epochs", "batch-size", "hidden",
              "learning-rate", "learning-rate-nan", "learning-rate-inf", "seeds",
-             "structures-empty", "bench-sizes", "bench-seed", "empty-graph",
-             "graphs-not-a-list"],
+             "seeds-not-integers", "structures-empty", "bench-sizes", "bench-seed",
+             "bench-no-size-under-n-max", "truncate-without-cayley",
+             "truncate-past-group-order", "empty-graph", "graphs-not-a-list",
+             "missing-manifest", "unparsable-manifest"],
     )
     def test_bad_values_exit_with_documented_code(
         self, argv, expected, capsys, cache_dir, tmp_path, monkeypatch
@@ -99,8 +107,22 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty.edgelist").write_text("0\n")
         (tmp_path / "dataset.json").write_text(json.dumps({"graphs": {"a": "x"}}))
+        (tmp_path / "torn.json").write_text('{"graphs": [')
         code, _, err = run(argv + ["--cache-dir", cache_dir], capsys)
         assert code == expected, err
+
+    def test_plot_without_matplotlib_is_input_error(self, capsys, tmp_path, monkeypatch):
+        # a None entry in sys.modules makes `import matplotlib` raise
+        # ImportError, whether or not matplotlib is installed
+        monkeypatch.setitem(sys.modules, "matplotlib", None)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(
+            ["sweep", "--v-min", "6", "--v-max", "7", "--out", "s.csv",
+             "--plot", "s.svg", "--cache-dir", str(tmp_path / "cache")],
+            capsys,
+        )
+        assert code == 2
+        assert "cayleyprop[plot]" in err
 
     def test_dense_matrix_over_the_cap_is_runtime_error(self, capsys, tmp_path):
         # An edgeless graph: the cap is hit before anything is allocated.

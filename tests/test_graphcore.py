@@ -53,6 +53,15 @@ class TestUGraph:
         with pytest.raises(ValueError, match="out of range"):
             UGraph(2, [(0, 2)])
 
+    def test_rejects_negative_node_count(self):
+        with pytest.raises(ValueError, match="node_count must be >= 0, got -1"):
+            UGraph(-1)
+
+    @pytest.mark.parametrize("node", [3, -1])
+    def test_rejects_self_loop_node_out_of_range(self, node):
+        with pytest.raises(ValueError, match=f"self-loop node {node} out of range"):
+            UGraph(3, [(0, 1)], self_loops=[node])
+
     def test_self_loops_flagged_not_edges(self):
         g = UGraph(3, [(0, 1)], self_loops=[2])
         assert len(g.adj[2]) == 0
@@ -81,6 +90,8 @@ class TestUGraph:
     @pytest.mark.parametrize(
         "pairs, match",
         [([(0, 1), (0, 1)], "duplicate"), ([(0, 1), [1, 0]], "duplicate"),
+         ([(0, 1), (1, 2), (0, 2), (2, 1)], r"duplicate edge \(1, 2\)"),
+         ([(1, 2), (0, 1), (0, 2), [0, 1]], r"duplicate edge \(0, 1\)"),
          ([(1, 1)], "self-loop"), ([(0, 3)], "out of range"),
          ([(-1, 2)], "out of range"), ([(0.5, 2)], "node id 0.5 is not"),
          ([(True, 2)], "node id True is not"), ([(0, 1), [1.0, 2]], "node id 1.0 is not"),
@@ -156,6 +167,25 @@ class TestEdgeListFormat:
         g = parse_edge_list("3\n\n0 1\n\n")
         assert g.edge_count == 1
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [("0 1\n3\n", "line 2: node-count line allowed only as the first line"),
+         ("3\n4\n", "line 2: node-count line allowed only"),
+         ("x\n0 1\n", "line 1: not an integer: 'x'"),
+         ("-2\n", "line 1: negative node count"),
+         ("3\n0 1\n-1 2\n", "line 3: negative node id"),
+         ("3\n1 1\n0 2\n1 1\n", "line 4: duplicate self-loop 1")],
+        ids=["count-after-edge", "second-count", "non-integer-count",
+             "negative-count", "negative-id", "duplicate-self-loop"],
+    )
+    def test_malformed_input_names_its_line(self, text, match):
+        with pytest.raises(EdgeListParseError, match=match):
+            parse_edge_list(text, allow_self_loops=True)
+
+    def test_self_loops_merge_into_edge_order(self):
+        g = UGraph(6, [(0, 5), (1, 2), (3, 4)], self_loops=[5, 0, 3, 1])
+        assert emit_edge_list(g) == "6\n0 0\n0 5\n1 1\n1 2\n3 3\n3 4\n5 5\n"
+
 
 class TestGenerators:
     def test_star_shape(self):
@@ -183,6 +213,12 @@ class TestGenerators:
         # every node past the core attaches with exactly m edges
         assert g.edge_count == 1 + 2 * 28
 
+    def test_ba_single_attachment_is_a_tree(self):
+        # the first draw sees node 0 with degree 0 and falls back to uniform
+        g = gen_graph("BA", 12, 4, m=1)
+        assert g.edges[0] == (0, 1)
+        assert g.edge_count == 11 and is_connected(g)
+
     def test_ba_deterministic(self):
         assert gen_graph("BA", 25, 3, m=3) == gen_graph("BA", 25, 3, m=3)
 
@@ -193,6 +229,8 @@ class TestGenerators:
             gen_graph("BA", 5, 0, m=0)
         with pytest.raises(ValueError):
             gen_graph("Lattice", 5, 0)
+        with pytest.raises(ValueError, match="node count must be >= 1, got 0"):
+            gen_graph("Empty", 0)
 
 
 class TestRelabelAndUnion:

@@ -250,6 +250,10 @@ class TestModelForward:
         np.testing.assert_allclose(hp[ext_perm], h, atol=1e-11)
         assert zp == pytest.approx(z, abs=1e-9)
 
+    def test_unknown_layer_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown layer kind 'gat'"):
+            init_params(np.random.default_rng(0), "gat", 2, 3, 1)
+
 
 class TestLossAndGrads:
     def test_bce_ln2_for_zero_model(self):
@@ -340,6 +344,11 @@ class TestLossAndGrads:
         params = init_params(np.random.default_rng(0), "gin", 2, 3, 1)
         with pytest.raises(ValueError):
             loss_and_grads([plan, plan], params, [(np.ones((2, 2)), 1.0)], nn._Run())
+
+    def test_empty_batch_rejected(self):
+        params = init_params(np.random.default_rng(0), "gin", 2, 3, 1)
+        with pytest.raises(ValueError, match="empty batch"):
+            loss_and_grads([], params, [], nn._Run())
 
     @pytest.mark.parametrize("num_layers", [1, 3])
     @pytest.mark.parametrize("kind", LAYER_KINDS)

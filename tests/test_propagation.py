@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from cayleyprop.cayley import CayleyCache
+from cayleyprop import propagation
+from cayleyprop.cayley import CayleyCache, write_atomic
 from cayleyprop.graphcore import UGraph, gen_graph, parse_edge_list
 from cayleyprop.modgroup import sl2_order
 from cayleyprop.propagation import (
@@ -157,6 +158,8 @@ class TestBuildPlan:
             build_plan(g, "Ring", 2, cache=cache)
         with pytest.raises(ValueError):
             build_plan(g, "CGP", 0, cache=cache)
+        with pytest.raises(ValueError, match="input graph has no nodes"):
+            build_plan(UGraph(0), "CGP", 2, cache=cache)
 
 
 class TestExport:
@@ -174,6 +177,19 @@ class TestExport:
         assert ext == plan.input_template
         cay = parse_edge_list((tmp_path / "g0.cayley.edgelist").read_text())
         assert cay == cache.graph(3)
+
+    def test_every_file_is_written_atomically(self, cache, tmp_path, monkeypatch):
+        written = []
+
+        def recording(path, text):
+            written.append(path.name)
+            write_atomic(path, text)
+
+        monkeypatch.setattr(propagation, "write_atomic", recording)
+        plan = build_plan(gen_graph("ER", 10, 6, p=0.4), "CGP", 2, cache=cache)
+        export_plan(plan, tmp_path / "new" / "dir", "g3")
+        assert written == ["g3.input_extended.edgelist", "g3.cayley.edgelist", "g3.json"]
+        assert sorted(p.name for p in (tmp_path / "new" / "dir").iterdir()) == sorted(written)
 
     def test_cgp_every_still_exports_input(self, cache, tmp_path):
         g = gen_graph("ER", 10, 6, p=0.4)

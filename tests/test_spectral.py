@@ -86,6 +86,11 @@ class TestEigSym:
         with pytest.raises(ValueError, match="symmetric"):
             eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match=r"expected a square matrix, got shape"):
+            eig_sym(np.zeros(shape))
+
     @pytest.mark.parametrize(
         "m",
         [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.inf], [math.inf, 1.0]],
