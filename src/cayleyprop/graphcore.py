@@ -8,8 +8,11 @@ algorithms can include or exclude them deliberately.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterable
+from itertools import accumulate
+from numbers import Real
 
 import numpy as np
 
@@ -270,10 +273,16 @@ def gen_graph(
 ) -> UGraph:
     """Seed-deterministic generator for the supported graph kinds.
 
-    ER needs p in [0, 1]; BA needs attachment count m >= 1. Randomness comes
-    from numpy's PCG64 (np.random.default_rng) seeded with the user seed plus
-    a per-kind tag, so ER and BA streams are independent for the same seed.
+    ER needs p in [0, 1]; BA needs attachment count m >= 1. n, m and seed are
+    ints (numpy integers convert; a bool or a float is a ValueError).
+    Randomness comes from numpy's PCG64 (np.random.default_rng) seeded with
+    the user seed plus a per-kind tag, so ER and BA streams are independent
+    for the same seed. BA takes each new node's m uniforms from one
+    rng.random(m) call and reproduces Generator.choice's degree-weighted
+    pick; the choice-based generator is kept as the test oracle.
     """
+    n = _as_int(n, "node count")
+    seed = _as_int(seed, "seed")
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
     if kind == "Empty":
@@ -281,10 +290,11 @@ def gen_graph(
     if kind == "Star":
         return star_graph(n)
     if kind == "ER":
-        if p is None or not 0.0 <= p <= 1.0:
-            raise ValueError(f"ER requires p in [0, 1], got {p}")
+        if isinstance(p, bool) or not isinstance(p, Real) or not 0.0 <= p <= 1.0:
+            raise ValueError(f"ER requires p in [0, 1], got {p!r}")
         return _gen_er(n, p, seed)
     if kind == "BA":
+        m = None if m is None else _as_int(m, "attachment count m")
         if m is None or m < 1:
             raise ValueError(f"BA requires attachment count m >= 1, got {m}")
         return _gen_ba(n, m, seed)
@@ -305,24 +315,32 @@ def _gen_ba(n: int, m: int, seed: int) -> UGraph:
     rng = np.random.default_rng([seed, _SEED_TAG_BA])
     core = min(m, n)
     edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
-    degree = np.zeros(n, dtype=np.int64)
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
+    degree = [core - 1] * core + [0] * (n - core)
     for new in range(core, n):
+        # new >= core = m, and the pool excludes the targets already drawn, so
+        # m draws give m targets: one random(m) call yields the doubles of the
+        # m scalar draws that m Generator.choice calls would make.
         targets: set[int] = set()
-        k = min(m, new)
-        while len(targets) < k:
-            pool = np.array(
-                [u for u in range(new) if u not in targets], dtype=np.int64
-            )
-            weights = degree[pool].astype(np.float64)
-            if weights.sum() == 0:
-                weights = np.ones_like(weights)
-            weights /= weights.sum()
-            targets.add(int(rng.choice(pool, p=weights)))
+        for u in rng.random(m).tolist():
+            pool = [v for v in range(new) if v not in targets]
+            targets.add(pool[_choice_index([degree[v] for v in pool], u)])
         for u in sorted(targets):
             edges.append((u, new))
             degree[u] += 1
             degree[new] += 1
     return UGraph(n, edges)
+
+
+def _choice_index(weights: list[int], u: float) -> int:
+    """The index Generator.choice(len(weights), p=w / w.sum()) picks with the
+    uniform u: cdf = cumsum(p), cdf /= cdf[-1], searchsorted(cdf, u, "right").
+
+    Integer weights keep the total exact, so w / total rounds as numpy's does,
+    and accumulate adds in cumsum's order. All-zero weights pick uniformly.
+    """
+    total = sum(weights)
+    if total == 0:
+        weights, total = [1] * len(weights), len(weights)
+    cdf = list(accumulate(w / total for w in weights))
+    last = cdf[-1]
+    return bisect_right(cdf, u, key=lambda c: c / last)

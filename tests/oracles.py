@@ -3,12 +3,14 @@
 The validating `Mat2Z` group element with `mat_mul`, and the group BFS
 built on them that `cayley.build_cayley` (plain residue tuples) must match
 edge for edge; brute-force and per-pair oracles for the diagnostics (group
-order, Cheeger constant, effective resistance), graph helpers that build test inputs
-(relabelling, disjoint unions, d-patterns, connectivity), the standalone
-layer forward, the per-sample training path and the per-array Adam step
-that the stacked, whole-vector engine in `cayleyprop.nn` must match bit for
-bit. None of them is on a command's code
-path, so they live here rather than in the package.
+order, Cheeger constant, effective resistance); the `Generator.choice` BA
+generator that `graphcore.gen_graph` must match graph for graph, and
+choice's weighted pick in numpy's own steps; graph helpers that build test
+inputs (relabelling, disjoint unions, d-patterns, connectivity); the
+standalone layer forward, the per-sample training path and the per-array
+Adam step that the stacked, whole-vector engine in `cayleyprop.nn` must
+match bit for bit. None of them is on a command's code path, so they live
+here rather than in the package.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from cayleyprop.graphcore import UGraph
+from cayleyprop.graphcore import _SEED_TAG_BA, UGraph
 from cayleyprop.modgroup import sl2_order
 from cayleyprop.nn import (
     ADAM_BETA1,
@@ -148,6 +150,52 @@ def enumerate_sl2_bruteforce(n: int) -> list[Mat2Z]:
 # ---------------------------------------------------------------------------
 # Graphs
 # ---------------------------------------------------------------------------
+
+
+def gen_ba_choice(n: int, m: int, seed: int) -> UGraph:
+    """BA(n, m) with one Generator.choice call per target: the generator that
+    `graphcore._gen_ba` must match graph for graph."""
+    rng = np.random.default_rng([seed, _SEED_TAG_BA])
+    core = min(m, n)
+    edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    degree = np.zeros(n, dtype=np.int64)
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    for new in range(core, n):
+        targets: set[int] = set()
+        k = min(m, new)
+        while len(targets) < k:
+            pool = np.array(
+                [u for u in range(new) if u not in targets], dtype=np.int64
+            )
+            weights = degree[pool].astype(np.float64)
+            if weights.sum() == 0:
+                weights = np.ones_like(weights)
+            weights /= weights.sum()
+            targets.add(int(rng.choice(pool, p=weights)))
+        for u in sorted(targets):
+            edges.append((u, new))
+            degree[u] += 1
+            degree[new] += 1
+    return UGraph(n, edges)
+
+
+def choice_p(weights: Sequence[int]) -> np.ndarray:
+    """The p that gen_ba_choice hands Generator.choice for these weights:
+    w / w.sum(), or uniform when every weight is zero."""
+    p = np.asarray(weights, dtype=np.float64)
+    if p.sum() == 0:
+        p = np.ones_like(p)
+    return p / p.sum()
+
+
+def choice_cdf(weights: Sequence[int]) -> np.ndarray:
+    """The cdf Generator.choice searches for a uniform with side="right", in
+    numpy's own steps: cumsum(p), then cdf /= cdf[-1]."""
+    cdf = choice_p(weights).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def is_connected(g: UGraph) -> bool:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,17 +14,27 @@ from cayleyprop.graphcore import (
     parse_edge_list,
     star_graph,
 )
+from cayleyprop.nn import gen_sum_task
 from cayleyprop.spectral import diameter_bfs
 from oracles import (
     d_pattern_levels,
     d_patterns,
     disjoint_union,
+    gen_ba_choice,
     is_connected,
     relabel_nodes,
 )
 
 # seed-pinned regression value recorded at first build
 ER_20_HALF_SEED_1234_EDGES = 97
+
+# SHA-256 of emit_edge_list over every graph of
+# gen_sum_task("BA", 1000, 0, test_size=200), train then test, recorded with
+# the Generator.choice generator: it pins the bytes themselves, so a numpy
+# change to choice cannot move the oracle and the generator together unseen.
+SUM_TASK_BA_EDGES_SHA256 = (
+    "5a388f697c1e7adb982718a662c9bda22d06e9a03f9a9d05c71b3dffbd4ea400"
+)
 
 
 class TestUGraph:
@@ -231,6 +243,45 @@ class TestGenerators:
             gen_graph("Lattice", 5, 0)
         with pytest.raises(ValueError, match="node count must be >= 1, got 0"):
             gen_graph("Empty", 0)
+
+    def test_numpy_integers_convert(self):
+        g = gen_graph("BA", np.int64(20), np.int64(3), m=np.int64(2))
+        assert g == gen_graph("BA", 20, 3, m=2)
+        assert gen_graph("ER", np.int32(9), 1, p=np.float64(0.5)) == gen_graph(
+            "ER", 9, 1, p=0.5
+        )
+
+    @pytest.mark.parametrize(
+        "kind, n, kwargs, message",
+        [
+            ("BA", 10, {"m": 2.5}, "attachment count m 2.5 is not an integer"),
+            ("BA", 10, {"m": True}, "attachment count m True is not an integer"),
+            ("BA", 10.0, {"m": 2}, "node count 10.0 is not an integer"),
+            ("BA", True, {"m": 2}, "node count True is not an integer"),
+            ("BA", 10, {"m": 2, "seed": 1.0}, "seed 1.0 is not an integer"),
+            ("ER", 10, {"p": 0.3, "seed": False}, "seed False is not an integer"),
+            ("ER", 10, {"p": True}, r"ER requires p in \[0, 1\], got True"),
+            ("ER", 10, {"p": "0.5"}, r"ER requires p in \[0, 1\], got '0.5'"),
+            ("Empty", 4.0, {}, "node count 4.0 is not an integer"),
+        ],
+    )
+    def test_bad_argument_types_are_value_errors(self, kind, n, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            gen_graph(kind, n, **kwargs)
+
+
+class TestBAMatchesChoiceOracle:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 15])
+    @pytest.mark.parametrize("n", [*range(1, 12), 20, 37, 100, 300])
+    def test_graph_for_graph(self, n, m):
+        for seed in (0, 1, 7, 2**62 - 1):
+            assert gen_graph("BA", n, seed, m=m) == gen_ba_choice(n, m, seed)
+
+    def test_sum_task_edge_lists_are_pinned(self):
+        ds = gen_sum_task("BA", 1000, 0, test_size=200)
+        text = "".join(emit_edge_list(s.graph) for s in ds.train + ds.test)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == SUM_TASK_BA_EDGES_SHA256
 
 
 class TestRelabelAndUnion:
