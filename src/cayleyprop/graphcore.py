@@ -8,10 +8,8 @@ algorithms can include or exclude them deliberately.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterable
-from itertools import accumulate
 from numbers import Real
 
 import numpy as np
@@ -277,9 +275,9 @@ def gen_graph(
     ints (numpy integers convert; a bool or a float is a ValueError).
     Randomness comes from numpy's PCG64 (np.random.default_rng) seeded with
     the user seed plus a per-kind tag, so ER and BA streams are independent
-    for the same seed. BA takes each new node's m uniforms from one
-    rng.random(m) call and reproduces Generator.choice's degree-weighted
-    pick; the choice-based generator is kept as the test oracle.
+    for the same seed. BA is the one-seed case of gen_ba_graphs, which
+    reproduces Generator.choice's degree-weighted pick; the choice-based
+    generator is kept as the test oracle.
     """
     n = _as_int(n, "node count")
     seed = _as_int(seed, "seed")
@@ -294,10 +292,9 @@ def gen_graph(
             raise ValueError(f"ER requires p in [0, 1], got {p!r}")
         return _gen_er(n, p, seed)
     if kind == "BA":
-        m = None if m is None else _as_int(m, "attachment count m")
-        if m is None or m < 1:
-            raise ValueError(f"BA requires attachment count m >= 1, got {m}")
-        return _gen_ba(n, m, seed)
+        if m is None:
+            raise ValueError("BA requires attachment count m >= 1, got None")
+        return gen_ba_graphs(n, m, [seed])[0]
     raise ValueError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
 
 
@@ -311,36 +308,77 @@ def _gen_er(n: int, p: float, seed: int) -> UGraph:
     return UGraph(n, edges)
 
 
-def _gen_ba(n: int, m: int, seed: int) -> UGraph:
-    rng = np.random.default_rng([seed, _SEED_TAG_BA])
-    core = min(m, n)
-    edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
-    degree = [core - 1] * core + [0] * (n - core)
-    for new in range(core, n):
-        # new >= core = m, and the pool excludes the targets already drawn, so
-        # m draws give m targets: one random(m) call yields the doubles of the
-        # m scalar draws that m Generator.choice calls would make.
-        targets: set[int] = set()
-        for u in rng.random(m).tolist():
-            pool = [v for v in range(new) if v not in targets]
-            targets.add(pool[_choice_index([degree[v] for v in pool], u)])
-        for u in sorted(targets):
-            edges.append((u, new))
-            degree[u] += 1
-            degree[new] += 1
-    return UGraph(n, edges)
+def gen_ba_graphs(n: int, m: int, seeds: Iterable[int]) -> list[UGraph]:
+    """One BA(n, m) graph per seed, drawn in lockstep: each new node's targets
+    are picked for every graph at once. Graph k equals the one-seed draw of
+    seeds[k]; it does not depend on the other seeds.
 
-
-def _choice_index(weights: list[int], u: float) -> int:
-    """The index Generator.choice(len(weights), p=w / w.sum()) picks with the
-    uniform u: cdf = cumsum(p), cdf /= cdf[-1], searchsorted(cdf, u, "right").
-
-    Integer weights keep the total exact, so w / total rounds as numpy's does,
-    and accumulate adds in cumsum's order. All-zero weights pick uniformly.
+    Each graph takes its uniforms from its own default_rng([seed, tag]) in
+    one random((n - core) * m) call, the doubles of successive random(m)
+    calls, and picks every target as Generator.choice(pool, p=degree /
+    total) would (see _pick_columns): the graphs are byte-identical to the
+    choice-based generator kept as the test oracle.
     """
-    total = sum(weights)
-    if total == 0:
-        weights, total = [1] * len(weights), len(weights)
-    cdf = list(accumulate(w / total for w in weights))
-    last = cdf[-1]
-    return bisect_right(cdf, u, key=lambda c: c / last)
+    n = _as_int(n, "node count")
+    m = _as_int(m, "attachment count m")
+    seeds = [_as_int(s, "seed") for s in seeds]
+    if n < 1:
+        raise ValueError(f"node count must be >= 1, got {n}")
+    if m < 1:
+        raise ValueError(f"BA requires attachment count m >= 1, got {m}")
+    core = min(m, n)
+    steps = n - core
+    count = len(seeds)
+    uniforms = np.empty((count, steps, m))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng([seed, _SEED_TAG_BA])
+        uniforms[k] = rng.random(steps * m).reshape(steps, m)
+    degree = np.zeros((count, n), dtype=np.int64)
+    degree[:, :core] = core - 1
+    targets = np.empty((count, steps, m), dtype=np.int64)
+    rows = np.arange(count)
+    for new in range(core, n):
+        # new >= core = m, and a drawn target leaves the pool, so m draws
+        # give m distinct targets.
+        weights = degree[:, :new].copy()
+        in_pool = np.ones((count, new), dtype=bool)
+        for j in range(m):
+            picked = _pick_columns(weights, in_pool, uniforms[:, new - core, j])
+            targets[:, new - core, j] = picked
+            weights[rows, picked] = 0
+            in_pool[rows, picked] = False
+        degree[rows[:, None], targets[:, new - core]] += 1
+        degree[:, new] = m
+    targets.sort(axis=2)
+    core_edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    return [
+        UGraph(
+            n,
+            core_edges
+            + [(u, new) for new, ts in enumerate(per_graph, core) for u in ts],
+        )
+        for per_graph in targets.tolist()
+    ]
+
+
+def _pick_columns(
+    weights: np.ndarray, in_pool: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """Per row, the column Generator.choice(pool, p=w / w.sum()) picks with
+    that row's uniform, where pool is the row's in_pool columns and w their
+    integer weights; weights outside the pool must be 0.
+
+    These are choice's steps: cdf = cumsum(p), cdf /= cdf[-1], then the
+    right-side search, here a count of cdf <= u. A column outside the pool
+    adds an exact 0.0, so every partial sum equals the pool's own, and the
+    count lands on a pool column. Integer weights keep each total exact, so
+    w / total rounds as choice's p does. An all-zero row picks uniformly.
+    """
+    total = weights.sum(axis=1)
+    empty = total == 0
+    if empty.any():
+        weights = np.where(empty[:, None], in_pool, weights)
+        total = np.where(empty, in_pool.sum(axis=1), total)
+    cdf = np.cumsum(weights / total[:, None], axis=1)
+    cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf <= uniforms[:, None], axis=1)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .cayley import CayleyCache, build_cayley
-from .graphcore import UGraph, gen_graph, star_graph
+from .graphcore import UGraph, gen_ba_graphs, gen_graph, star_graph
 from .propagation import SCHEMES, PropagationPlan, build_plan
 
 LAYER_KINDS = ("gin", "gcn")
@@ -564,13 +564,19 @@ def gen_sum_task(
     the sign of the teacher applied to the feature sum. Feature draws do not
     depend on the structure, so datasets with the same seed share their
     node features and differ only in topology. Cayley24 samples use 24-row
-    feature matrices, all other structures SUM_TASK_NODE_COUNT rows.
+    feature matrices, all other structures SUM_TASK_NODE_COUNT rows. seed is
+    a non-negative int (a numpy integer converts). GNP and BA draw one graph
+    seed per sample, a split's seeds in one call; a split's BA graphs are
+    drawn together by gen_ba_graphs.
     """
     if structure not in SUM_TASK_STRUCTURES:
         raise ValueError(
             f"unknown structure {structure!r}; expected one of {SUM_TASK_STRUCTURES}"
         )
-    for name, n in (("train_size", train_size), ("test_size", test_size)):
+    if isinstance(seed, np.integer):
+        seed = int(seed)
+    counts = (("seed", seed), ("train_size", train_size), ("test_size", test_size))
+    for name, n in counts:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError(f"{name} must be a non-negative int, got {n!r}")
     teacher = np.random.default_rng([seed, _SEED_TAG_TEACHER]).standard_normal(
@@ -584,15 +590,12 @@ def gen_sum_task(
         graph_rng = np.random.default_rng(
             [seed, _SEED_TAG_GRAPHS, split_tag, SUM_TASK_STRUCTURES.index(structure)]
         )
-        shared = _shared_structure_graph(structure, rows)
+        graphs = _structure_graphs(structure, rows, count, graph_rng)
         samples = []
-        for _ in range(count):
+        for g in graphs:
             # Copied out, so a sample does not keep the unused pool rows alive.
             pool = feat_rng.standard_normal((pool_rows, SUM_TASK_FEATURE_DIM))
             x = pool[:rows].copy()
-            g = shared if shared is not None else _sampled_structure_graph(
-                structure, rows, graph_rng
-            )
             label = int(x.sum(axis=0) @ teacher > 0.0)
             samples.append(SumTaskSample(graph=g, features=x, label=label))
         return tuple(samples)
@@ -606,22 +609,22 @@ def gen_sum_task(
     )
 
 
-def _shared_structure_graph(structure: str, rows: int) -> UGraph | None:
+def _structure_graphs(
+    structure: str, rows: int, count: int, rng: np.random.Generator
+) -> list[UGraph]:
+    """A split's count graphs; GNP and BA take their seeds from rng."""
     if structure == "Empty":
-        return UGraph(rows)
+        return [UGraph(rows)] * count
     if structure == "Star":
-        return star_graph(rows)
+        return [star_graph(rows)] * count
     if structure == "Cayley24":
-        return build_cayley(_CAYLEY24_MODULUS).graph
-    return None
-
-
-def _sampled_structure_graph(structure, rows, rng) -> UGraph:
-    sample_seed = int(rng.integers(0, 2**62))
+        return [build_cayley(_CAYLEY24_MODULUS).graph] * count
+    # One call draws the values of count scalar integers(0, 2**62) calls.
+    seeds = rng.integers(0, 2**62, size=count).tolist()
     if structure == "GNP":
-        return gen_graph("ER", rows, sample_seed, p=SUM_TASK_GNP_P)
+        return [gen_graph("ER", rows, s, p=SUM_TASK_GNP_P) for s in seeds]
     if structure == "BA":
-        return gen_graph("BA", rows, sample_seed, m=SUM_TASK_BA_M)
+        return gen_ba_graphs(rows, SUM_TASK_BA_M, seeds)
     raise AssertionError(structure)
 
 

@@ -4,7 +4,7 @@ The validating `Mat2Z` group element with `mat_mul`, and the group BFS
 built on them that `cayley.build_cayley` (plain residue tuples) must match
 edge for edge; brute-force and per-pair oracles for the diagnostics (group
 order, Cheeger constant, effective resistance); the `Generator.choice` BA
-generator that `graphcore.gen_graph` must match graph for graph, and
+generator that `graphcore.gen_ba_graphs` must match graph for graph, and
 choice's weighted pick in numpy's own steps; graph helpers that build test
 inputs (relabelling, disjoint unions, d-patterns, connectivity); the
 standalone layer forward, the per-sample training path and the per-array
@@ -154,7 +154,7 @@ def enumerate_sl2_bruteforce(n: int) -> list[Mat2Z]:
 
 def gen_ba_choice(n: int, m: int, seed: int) -> UGraph:
     """BA(n, m) with one Generator.choice call per target: the generator that
-    `graphcore._gen_ba` must match graph for graph."""
+    `graphcore.gen_ba_graphs` must match graph for graph."""
     rng = np.random.default_rng([seed, _SEED_TAG_BA])
     core = min(m, n)
     edges = [(u, v) for u in range(core) for v in range(u + 1, core)]

@@ -36,6 +36,13 @@ SUM_TASK_BA_EDGES_SHA256 = (
     "5a388f697c1e7adb982718a662c9bda22d06e9a03f9a9d05c71b3dffbd4ea400"
 )
 
+# SHA-256 of emit_edge_list over every graph of
+# gen_sum_task("GNP", 200, 0, test_size=50), train then test, recorded while
+# each sample drew its graph seed with its own rng.integers call.
+SUM_TASK_GNP_EDGES_SHA256 = (
+    "aca2a658b0d5486ffbddfb06fc7435174bd9a114ddc494034c038e58f0f6dc32"
+)
+
 
 class TestUGraph:
     def test_adjacency_over_the_dense_cap_rejected(self):
@@ -282,6 +289,12 @@ class TestBAMatchesChoiceOracle:
         text = "".join(emit_edge_list(s.graph) for s in ds.train + ds.test)
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == SUM_TASK_BA_EDGES_SHA256
+
+
+def test_sum_task_gnp_edge_lists_are_pinned():
+    ds = gen_sum_task("GNP", 200, 0, test_size=50)
+    text = "".join(emit_edge_list(s.graph) for s in ds.train + ds.test)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUM_TASK_GNP_EDGES_SHA256
 
 
 class TestRelabelAndUnion:

@@ -680,6 +680,19 @@ class TestSumTask:
         with pytest.raises(ValueError, match=f"{name} must be a non-negative int"):
             gen_sum_task("BA", seed=0, **sizes)
 
+    @pytest.mark.parametrize("seed", [True, False, "3", 1.5, 2.0, None, -1])
+    def test_rejects_negative_or_non_int_seed(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be a non-negative int"):
+            gen_sum_task("BA", 2, seed, test_size=1)
+
+    def test_numpy_integer_seed_converts(self):
+        ds = gen_sum_task("BA", 3, np.uint32(4), test_size=1)
+        assert type(ds.seed) is int
+        assert all(
+            x.graph == y.graph and np.array_equal(x.features, y.features)
+            for x, y in zip(ds.train, gen_sum_task("BA", 3, 4, test_size=1).train)
+        )
+
     def test_empty_splits_allowed(self):
         ds = gen_sum_task("BA", 0, seed=0, test_size=0)
         assert ds.train == () and ds.test == ()
