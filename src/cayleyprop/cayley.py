@@ -8,12 +8,18 @@ generator order. The labelled edge list is therefore fully deterministic.
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graphcore import EdgeListParseError, UGraph, emit_edge_list, parse_edge_list
+from .graphcore import (
+    EdgeListParseError,
+    UGraph,
+    _as_int,
+    emit_edge_list,
+    parse_edge_list,
+)
 from .modgroup import generators, sl2_order
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
@@ -31,8 +37,7 @@ class CayleyGraph:
 
 def build_cayley(n: int) -> CayleyGraph:
     """BFS the whole group from the identity and collect generator edges."""
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
+    n = _as_int(n, "modulus", 2)
     order = sl2_order(n)
     if order > DEFAULT_VERTEX_BUDGET:
         raise ValueError(
@@ -71,8 +76,7 @@ def build_cayley(n: int) -> CayleyGraph:
 
 def smallest_modulus(v: int) -> int:
     """Least n >= 2 whose group order reaches v nodes."""
-    if v < 1:
-        raise ValueError(f"target node count must be >= 1, got {v}")
+    v = _as_int(v, "target node count", 1)
     # The scan below costs O(sqrt(v)) trial divisions, and no graph over the
     # budget is ever built.
     if v > DEFAULT_VERTEX_BUDGET:
@@ -88,9 +92,11 @@ def smallest_modulus(v: int) -> int:
 
 def write_atomic(path: Path, text: str) -> None:
     """Write text through a temp file in the same directory and a rename,
-    so a reader never sees a partial file."""
+    so a reader never sees a partial file. The temp file is created with
+    mode 0o666 under the umask, the mode open() gives (mkstemp's is 0600)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.parent / f"tmp{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

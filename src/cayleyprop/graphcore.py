@@ -34,11 +34,16 @@ class EdgeListParseError(ValueError):
         self.line_no = line_no
 
 
-def _as_int(x, what: str) -> int:
-    """x as a Python int; a numpy integer converts, a bool or a float is rejected."""
+def _as_int(x, what: str, minimum: int | None = None) -> int:
+    """The library's one integer check: x as a Python int, at least minimum
+    when one is given. A numpy integer converts; a bool, a float, a str, None
+    or any other type is a ValueError naming what."""
     if type(x) is not int and not isinstance(x, np.integer):
         raise ValueError(f"{what} {x!r} is not an integer")
-    return int(x)
+    x = int(x)
+    if minimum is not None and x < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {x}")
+    return x
 
 
 class UGraph:
@@ -52,10 +57,7 @@ class UGraph:
         edges: Iterable[tuple[int, int]] = (),
         self_loops: Iterable[int] = (),
     ):
-        if type(node_count) is not int:
-            node_count = _as_int(node_count, "node_count")
-        if node_count < 0:
-            raise ValueError(f"node_count must be >= 0, got {node_count}")
+        node_count = _as_int(node_count, "node_count", 0)
         canon = []
         for e in edges:
             u, v = e
@@ -171,6 +173,7 @@ def star_graph(n: int) -> UGraph:
 
 def induced_prefix_subgraph(g: UGraph, v: int) -> UGraph:
     """Induced subgraph on nodes 0..v-1 (flagged self-loops kept)."""
+    v = _as_int(v, "prefix size")
     if not 1 <= v <= g.node_count:
         raise ValueError(f"prefix size {v} out of range 1..{g.node_count}")
     if v == g.node_count:
@@ -271,18 +274,16 @@ def gen_graph(
 ) -> UGraph:
     """Seed-deterministic generator for the supported graph kinds.
 
-    ER needs p in [0, 1]; BA needs attachment count m >= 1. n, m and seed are
-    ints (numpy integers convert; a bool or a float is a ValueError).
+    ER needs p in [0, 1]. n and BA's attachment count m (>= 1) and seed
+    (>= 0) are integers by the rule of _as_int.
     Randomness comes from numpy's PCG64 (np.random.default_rng) seeded with
     the user seed plus a per-kind tag, so ER and BA streams are independent
     for the same seed. BA is the one-seed case of gen_ba_graphs, which
     reproduces Generator.choice's degree-weighted pick; the choice-based
     generator is kept as the test oracle.
     """
-    n = _as_int(n, "node count")
-    seed = _as_int(seed, "seed")
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
+    n = _as_int(n, "node count", 1)
+    seed = _as_int(seed, "seed", 0)
     if kind == "Empty":
         return UGraph(n)
     if kind == "Star":
@@ -292,8 +293,6 @@ def gen_graph(
             raise ValueError(f"ER requires p in [0, 1], got {p!r}")
         return _gen_er(n, p, seed)
     if kind == "BA":
-        if m is None:
-            raise ValueError("BA requires attachment count m >= 1, got None")
         return gen_ba_graphs(n, m, [seed])[0]
     raise ValueError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
 
@@ -319,13 +318,9 @@ def gen_ba_graphs(n: int, m: int, seeds: Iterable[int]) -> list[UGraph]:
     total) would (see _pick_columns): the graphs are byte-identical to the
     choice-based generator kept as the test oracle.
     """
-    n = _as_int(n, "node count")
-    m = _as_int(m, "attachment count m")
-    seeds = [_as_int(s, "seed") for s in seeds]
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
-    if m < 1:
-        raise ValueError(f"BA requires attachment count m >= 1, got {m}")
+    n = _as_int(n, "node count", 1)
+    m = _as_int(m, "attachment count m", 1)
+    seeds = [_as_int(s, "seed", 0) for s in seeds]
     core = min(m, n)
     steps = n - core
     count = len(seeds)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .cayley import CayleyCache, build_cayley
-from .graphcore import UGraph, gen_ba_graphs, gen_graph, star_graph
+from .graphcore import UGraph, _as_int, gen_ba_graphs, gen_graph, star_graph
 from .propagation import SCHEMES, PropagationPlan, build_plan
 
 LAYER_KINDS = ("gin", "gcn")
@@ -564,21 +564,18 @@ def gen_sum_task(
     the sign of the teacher applied to the feature sum. Feature draws do not
     depend on the structure, so datasets with the same seed share their
     node features and differ only in topology. Cayley24 samples use 24-row
-    feature matrices, all other structures SUM_TASK_NODE_COUNT rows. seed is
-    a non-negative int (a numpy integer converts). GNP and BA draw one graph
-    seed per sample, a split's seeds in one call; a split's BA graphs are
-    drawn together by gen_ba_graphs.
+    feature matrices, all other structures SUM_TASK_NODE_COUNT rows. seed,
+    train_size and test_size are integers >= 0 by the rule of _as_int. GNP
+    and BA draw one graph seed per sample, a split's seeds in one call; a
+    split's BA graphs are drawn together by gen_ba_graphs.
     """
     if structure not in SUM_TASK_STRUCTURES:
         raise ValueError(
             f"unknown structure {structure!r}; expected one of {SUM_TASK_STRUCTURES}"
         )
-    if isinstance(seed, np.integer):
-        seed = int(seed)
-    counts = (("seed", seed), ("train_size", train_size), ("test_size", test_size))
-    for name, n in counts:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"{name} must be a non-negative int, got {n!r}")
+    seed = _as_int(seed, "seed", 0)
+    train_size = _as_int(train_size, "train_size", 0)
+    test_size = _as_int(test_size, "test_size", 0)
     teacher = np.random.default_rng([seed, _SEED_TAG_TEACHER]).standard_normal(
         SUM_TASK_FEATURE_DIM
     )
@@ -635,6 +632,9 @@ def _structure_graphs(
 
 @dataclass
 class TrainConfig:
+    """Settings of one training run. The seed (>= 0) and the counts (>= 1)
+    are integers by the rule of _as_int and are stored as Python ints."""
+
     learning_rate: float = 1e-3
     epochs: int = 60
     batch_size: int = 32
@@ -653,25 +653,16 @@ class TrainConfig:
             valid = False
         if not valid:
             raise ValueError(f"learning rate must be finite and positive, got {lr!r}")
-        counts = {
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "hidden_dim": self.hidden_dim,
-            "num_layers": self.num_layers,
-        }
-        counts.update((f"train_sizes[{i}]", n) for i, n in enumerate(self.train_sizes))
-        for name, n in counts.items():
-            if not isinstance(n, int) or isinstance(n, bool):
-                raise ValueError(f"{name} must be an int, got {n!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch size must be positive")
-        if self.hidden_dim < 1 or self.num_layers < 1:
-            raise ValueError("hidden_dim and num_layers must be positive")
-        if not self.train_sizes or min(self.train_sizes) < 1:
-            raise ValueError("train_sizes must hold at least one size, each >= 1")
+        self.seed = _as_int(self.seed, "seed", 0)
+        self.epochs = _as_int(self.epochs, "epochs", 1)
+        self.batch_size = _as_int(self.batch_size, "batch_size", 1)
+        self.hidden_dim = _as_int(self.hidden_dim, "hidden_dim", 1)
+        self.num_layers = _as_int(self.num_layers, "num_layers", 1)
+        self.train_sizes = tuple(
+            _as_int(n, f"train_sizes[{i}]", 1) for i, n in enumerate(self.train_sizes)
+        )
+        if not self.train_sizes:
+            raise ValueError("train_sizes must hold at least one size")
         if self.layer_kind not in LAYER_KINDS:
             raise ValueError(
                 f"unknown layer kind {self.layer_kind!r}; expected one of {LAYER_KINDS}"

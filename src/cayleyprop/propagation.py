@@ -30,6 +30,7 @@ import numpy as np
 from .cayley import CayleyCache, smallest_modulus, write_atomic
 from .graphcore import (
     UGraph,
+    _as_int,
     complete_graph,
     emit_edge_list,
     induced_prefix_subgraph,
@@ -142,8 +143,7 @@ def build_plan(
     cache: CayleyCache | None = None,
 ) -> PropagationPlan:
     """Assemble the template graphs and layer schedule for one input graph."""
-    if num_layers < 1:
-        raise ValueError(f"num_layers must be >= 1, got {num_layers}")
+    num_layers = _as_int(num_layers, "num_layers", 1)
     if scheme not in SCHEMES:
         raise ValueError(f"unsupported scheme {scheme!r}; expected one of {SCHEMES}")
     v = g.node_count

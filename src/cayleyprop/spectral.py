@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .cayley import CayleyCache, smallest_modulus
-from .graphcore import DENSE_NODE_CAP, UGraph, induced_prefix_subgraph
+from .graphcore import DENSE_NODE_CAP, UGraph, _as_int, induced_prefix_subgraph
 
 EIG_TOL = 1e-10
 ZERO_EIGENVALUE_CUTOFF = 1e-8
@@ -295,8 +295,8 @@ def expansion_sweep(
     """One row per target size v: smallest-modulus Cayley graph truncated
     to v nodes and analyzed. Rows at the exact group orders are flagged
     complete."""
-    if v_min < 2:
-        raise ValueError(f"v_min must be >= 2, got {v_min}")
+    v_min = _as_int(v_min, "v_min", 2)
+    v_max = _as_int(v_max, "v_max")
     # Fail before the first row, not after hours of rows below the cap.
     if v_max >= v_min and v_max > DENSE_NODE_CAP:
         raise ValueError(

@@ -9,13 +9,15 @@ choice's weighted pick in numpy's own steps; graph helpers that build test
 inputs (relabelling, disjoint unions, d-patterns, connectivity); the
 standalone layer forward, the per-sample training path and the per-array
 Adam step that the stacked, whole-vector engine in `cayleyprop.nn` must
-match bit for bit. None of them is on a command's code path, so they live
-here rather than in the package.
+match bit for bit; and the wording of the library's integer check refusing a
+value. None of them is on a command's code path, so they live here rather
+than in the package.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -39,6 +41,14 @@ from cayleyprop.spectral import laplacian
 
 BRUTEFORCE_MAX_MODULUS = 20
 CHEEGER_BRUTEFORCE_MAX_NODES = 20
+
+
+def int_refusal(what: str, x, minimum: int | None = None) -> str:
+    """A match= pattern for the ValueError with which graphcore._as_int
+    refuses x: an int below minimum, or a value that is not an integer."""
+    if type(x) is int:
+        return re.escape(f"{what} must be >= {minimum}, got {x}")
+    return re.escape(f"{what} {x!r} is not an integer")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import hashlib
+import os
 import re
+import stat
 import time
 
 import pytest
@@ -166,6 +168,27 @@ class TestWriteAtomic:
             cayley.write_atomic(path, None)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
         assert path.read_text() == "old\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_mode_is_the_mode_open_gives(self, tmp_path, umask):
+        # For a new file and an overwritten one: 0644 under umask 022, not
+        # mkstemp's owner-only 0600.
+        old_umask = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("x\n")
+            path = tmp_path / "out.txt"
+            cayley.write_atomic(path, "new\n")
+            new_mode = stat.S_IMODE(path.stat().st_mode)
+            path.chmod(0o600)
+            cayley.write_atomic(path, "again\n")
+        finally:
+            os.umask(old_umask)
+        expected = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+        assert expected == 0o666 & ~umask
+        assert new_mode == expected
+        assert stat.S_IMODE(path.stat().st_mode) == expected
+        assert path.read_text() == "again\n"
 
 
 class TestCache:

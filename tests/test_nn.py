@@ -34,6 +34,7 @@ from cayleyprop.nn import GCNLayerParams, _loss_and_dz
 from cayleyprop.propagation import SCHEMES, build_plan
 from oracles import (
     _forward_cached,
+    int_refusal,
     layer_forward,
     relabel_nodes,
     sample_gradients,
@@ -672,18 +673,26 @@ class TestSumTask:
     @pytest.mark.parametrize(
         "name, value",
         [("train_size", -5), ("test_size", -2), ("train_size", 2.5),
-         ("test_size", 1.0), ("train_size", True), ("test_size", False),
-         ("train_size", np.int64(3))],
+         ("test_size", 1.0), ("train_size", True), ("test_size", False)],
     )
     def test_rejects_negative_or_non_int_sizes(self, name, value):
         sizes = {"train_size": 2, "test_size": 1, name: value}
-        with pytest.raises(ValueError, match=f"{name} must be a non-negative int"):
+        with pytest.raises(ValueError, match=int_refusal(name, value, 0)):
             gen_sum_task("BA", seed=0, **sizes)
 
     @pytest.mark.parametrize("seed", [True, False, "3", 1.5, 2.0, None, -1])
     def test_rejects_negative_or_non_int_seed(self, seed):
-        with pytest.raises(ValueError, match=r"seed must be a non-negative int"):
+        with pytest.raises(ValueError, match=int_refusal("seed", seed, 0)):
             gen_sum_task("BA", 2, seed, test_size=1)
+
+    def test_numpy_integer_sizes_convert(self):
+        ds = gen_sum_task("BA", np.int64(3), 4, test_size=np.int32(1))
+        ref = gen_sum_task("BA", 3, 4, test_size=1)
+        assert len(ds.train) == 3 and len(ds.test) == 1
+        assert all(
+            x.graph == y.graph and np.array_equal(x.features, y.features)
+            for x, y in zip(ds.train + ds.test, ref.train + ref.test)
+        )
 
     def test_numpy_integer_seed_converts(self):
         ds = gen_sum_task("BA", 3, np.uint32(4), test_size=1)
@@ -770,22 +779,32 @@ class TestTrain:
     @pytest.mark.parametrize(
         "field, value",
         [("epochs", 1.5), ("batch_size", 2.5), ("hidden_dim", 2.0),
-         ("num_layers", True), ("epochs", np.int64(2)), ("batch_size", "8"),
-         ("seed", 1.5), ("seed", True), ("seed", np.int64(1)), ("seed", "0")],
+         ("num_layers", True), ("batch_size", "8"),
+         ("seed", 1.5), ("seed", True), ("seed", "0")],
     )
     def test_config_rejects_non_int_counts(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an int"):
+        with pytest.raises(ValueError, match=int_refusal(field, value)):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("sizes", [(4.0,), (20, False), (20, 4.5)])
     def test_config_rejects_non_int_train_sizes(self, sizes):
-        with pytest.raises(ValueError, match=r"train_sizes\[\d\] must be an int"):
+        # The offending size is the last one.
+        name = f"train_sizes[{len(sizes) - 1}]"
+        with pytest.raises(ValueError, match=int_refusal(name, sizes[-1])):
             TrainConfig(train_sizes=sizes)
 
     @pytest.mark.parametrize("seed", [-1, -(2**70)])
     def test_config_rejects_negative_seed(self, seed):
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(ValueError, match=int_refusal("seed", seed, 0)):
             TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize(
+        "field, value", [("epochs", np.int64(2)), ("seed", np.int64(1))]
+    )
+    def test_config_converts_numpy_integers(self, field, value):
+        config = TrainConfig(**{field: value})
+        assert type(getattr(config, field)) is int
+        assert config == TrainConfig(**{field: int(value)})
 
     @pytest.mark.parametrize("lr", [math.nan, math.inf, True, False, "0.1", None])
     def test_config_rejects_non_finite_learning_rate(self, lr):

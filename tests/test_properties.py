@@ -4,8 +4,11 @@ Every run draws the same examples (derandomize=True) and writes no example
 database (database=None), so the suite stays deterministic.
 """
 
+import functools
+import pickle
 import re
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from cayleyprop.graphcore import _pick_columns, gen_ba_graphs, gen_graph
-from oracles import choice_cdf, choice_p, gen_ba_choice
+from cayleyprop.cayley import build_cayley, smallest_modulus
+from cayleyprop.graphcore import (
+    UGraph,
+    _pick_columns,
+    gen_ba_graphs,
+    gen_graph,
+    induced_prefix_subgraph,
+    star_graph,
+)
+from cayleyprop.nn import TrainConfig, gen_sum_task
+from cayleyprop.propagation import build_plan
+from cayleyprop.spectral import expansion_sweep
+from oracles import choice_cdf, choice_p, gen_ba_choice, int_refusal
 
 # Hypothesis caches the constants it finds in the library's source under its
 # home directory, ./.hypothesis unless set, and its pytest plugin does so while
@@ -124,3 +138,117 @@ def test_generator_choice_searches_the_oracle_cdf(weights, seed):
     u = np.random.default_rng(seed).random()
     picked = np.random.default_rng(seed).choice(len(weights), p=choice_p(weights))
     assert picked == choice_cdf(weights).searchsorted(u, side="right")
+
+
+# Every count, seed and size the library takes: the name its refusal gives,
+# its minimum (None: no lower bound), the largest value drawn in range, and a
+# call that passes the value on and leaves the other arguments valid. The
+# Cayley graphs come from memory, so both calls of a pair see one graph
+# object: one parsed from the disk cache shares fewer tuples than one built,
+# which its pickle shows.
+CAYLEY_GRAPHS = types.SimpleNamespace(
+    graph=functools.cache(lambda n: build_cayley(n).graph)
+)
+CAYLEY_3 = CAYLEY_GRAPHS.graph(3)
+SEED_MAX = 2**64 - 1
+INT_ARGUMENTS = {
+    "UGraph-node_count": ("node_count", 0, 30, UGraph),
+    "gen_graph-n": ("node count", 1, 30, lambda x: gen_graph("BA", x, 3, m=2)),
+    "gen_graph-m": (
+        "attachment count m", 1, 30, lambda x: gen_graph("BA", 12, 3, m=x)
+    ),
+    "gen_graph-seed": ("seed", 0, SEED_MAX, lambda x: gen_graph("ER", 12, x, p=0.3)),
+    "gen_ba_graphs-n": ("node count", 1, 30, lambda x: gen_ba_graphs(x, 2, [1, 2])),
+    "gen_ba_graphs-m": (
+        "attachment count m", 1, 30, lambda x: gen_ba_graphs(12, x, [1])
+    ),
+    "gen_ba_graphs-seeds": (
+        "seed", 0, SEED_MAX, lambda x: gen_ba_graphs(12, 2, [5, x])
+    ),
+    "induced_prefix_subgraph-v": (
+        "prefix size", 1, 24, lambda x: induced_prefix_subgraph(CAYLEY_3, x)
+    ),
+    "build_cayley-n": ("modulus", 2, 5, build_cayley),
+    "smallest_modulus-v": ("target node count", 1, 10**6, smallest_modulus),
+    "build_plan-num_layers": (
+        "num_layers",
+        1,
+        6,
+        lambda x: build_plan(star_graph(5), "CGP", x, cache=CAYLEY_GRAPHS),
+    ),
+    "expansion_sweep-v_min": (
+        "v_min", 2, 8, lambda x: expansion_sweep(x, 8, cache=CAYLEY_GRAPHS)
+    ),
+    "expansion_sweep-v_max": (
+        "v_max", None, 8, lambda x: expansion_sweep(6, x, cache=CAYLEY_GRAPHS)
+    ),
+    "gen_sum_task-train_size": (
+        "train_size", 0, 4, lambda x: gen_sum_task("BA", x, 0, test_size=1)
+    ),
+    "gen_sum_task-seed": (
+        "seed", 0, SEED_MAX, lambda x: gen_sum_task("BA", 2, x, test_size=1)
+    ),
+    "gen_sum_task-test_size": (
+        "test_size", 0, 4, lambda x: gen_sum_task("BA", 1, 0, test_size=x)
+    ),
+    "TrainConfig-seed": ("seed", 0, SEED_MAX, lambda x: TrainConfig(seed=x)),
+    "TrainConfig-epochs": ("epochs", 1, 1000, lambda x: TrainConfig(epochs=x)),
+    "TrainConfig-batch_size": (
+        "batch_size", 1, 1000, lambda x: TrainConfig(batch_size=x)
+    ),
+    "TrainConfig-hidden_dim": (
+        "hidden_dim", 1, 1000, lambda x: TrainConfig(hidden_dim=x)
+    ),
+    "TrainConfig-num_layers": (
+        "num_layers", 1, 1000, lambda x: TrainConfig(num_layers=x)
+    ),
+    "TrainConfig-train_sizes": (
+        "train_sizes[1]", 1, 4000, lambda x: TrainConfig(train_sizes=(20, x))
+    ),
+}
+BOUNDED = {k: v for k, v in INT_ARGUMENTS.items() if v[1] is not None}
+
+NOT_INTEGERS = (
+    st.booleans()
+    | st.floats()
+    | st.integers(-(2**53), 2**53).map(float)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**53), 2**53).map(np.float64)
+    | st.text(max_size=3)
+    | st.none()
+)
+NUMPY_INTEGER_TYPES = st.sampled_from(
+    [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+)
+
+
+@pytest.mark.parametrize("argument", INT_ARGUMENTS)
+@settings(DETERMINISTIC, max_examples=50)
+@given(bad=NOT_INTEGERS)
+def test_a_non_integer_is_refused_by_name(argument, bad):
+    what, _, _, call = INT_ARGUMENTS[argument]
+    with pytest.raises(ValueError, match=int_refusal(what, bad)):
+        call(bad)
+
+
+@pytest.mark.parametrize("argument", BOUNDED)
+@settings(DETERMINISTIC, max_examples=20)
+@given(below=st.integers(1, 2**70))
+def test_an_int_below_the_minimum_is_refused_by_name(argument, below):
+    what, minimum, _, call = BOUNDED[argument]
+    x = minimum - below
+    with pytest.raises(ValueError, match=rf"^{re.escape(what)} .*(?<![\d-]){x}\b"):
+        call(x)
+
+
+@pytest.mark.parametrize("argument", INT_ARGUMENTS)
+@settings(DETERMINISTIC, max_examples=20)
+@given(dtype=NUMPY_INTEGER_TYPES, data=st.data())
+def test_a_numpy_integer_gives_the_python_int_result(argument, dtype, data):
+    _, minimum, largest, call = INT_ARGUMENTS[argument]
+    info = np.iinfo(dtype)
+    x = data.draw(st.integers(max(minimum or 0, info.min), min(largest, info.max)))
+    from_numpy = call(dtype(x))
+    from_int = call(x)
+    # Pickled, a numpy integer left anywhere in the result shows.
+    assert pickle.dumps(from_numpy) == pickle.dumps(from_int)
