@@ -21,8 +21,9 @@ _SEED_TAG_BA = 0x42410002
 
 GRAPH_KINDS = ("ER", "Star", "BA", "Empty")
 
-# Largest graph that adjacency_matrix, and so every dense Laplacian and layer
-# operator built from it, will allocate: 8192^2 float64 entries are 512 MiB.
+# Largest graph that adjacency_matrix, and so every dense Laplacian, and the
+# training engine's dense layer operators will allocate: 8192^2 float64
+# entries are 512 MiB.
 DENSE_NODE_CAP = 8192
 
 
@@ -49,7 +50,9 @@ def _as_int(x, what: str, minimum: int | None = None) -> int:
 class UGraph:
     """Immutable undirected graph on nodes 0..node_count-1."""
 
-    __slots__ = ("node_count", "edges", "self_loops", "_adj")
+    # __weakref__ lets propagation share one complete graph per node count
+    # among the plans that use it, and no longer.
+    __slots__ = ("node_count", "edges", "self_loops", "_adj", "__weakref__")
 
     def __init__(
         self,
@@ -93,6 +96,21 @@ class UGraph:
         self.edges = tuple(canon)
         self.self_loops = loops
         self._adj: tuple[tuple[int, ...], ...] | None = None
+
+    @classmethod
+    def _derived(
+        cls, node_count: int, edges: tuple, self_loops: frozenset
+    ) -> "UGraph":
+        """A graph from parts already in the form __init__ leaves them, taken
+        as they are and not checked: edges a sorted tuple of distinct (u, v),
+        u < v < node_count, and self_loops a frozenset of nodes. Only graphs
+        derived from a validated one are built here."""
+        g = object.__new__(cls)
+        g.node_count = node_count
+        g.edges = edges
+        g.self_loops = self_loops
+        g._adj = None
+        return g
 
     @property
     def edge_count(self) -> int:
@@ -178,10 +196,10 @@ def induced_prefix_subgraph(g: UGraph, v: int) -> UGraph:
         raise ValueError(f"prefix size {v} out of range 1..{g.node_count}")
     if v == g.node_count:
         return g
-    return UGraph(
+    return UGraph._derived(
         v,
-        [e for e in g.edges if e[1] < v],
-        [u for u in g.self_loops if u < v],
+        tuple(e for e in g.edges if e[1] < v),
+        frozenset(u for u in g.self_loops if u < v),
     )
 
 

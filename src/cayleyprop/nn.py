@@ -7,15 +7,19 @@ graphs: each product is one np.matmul, which makes the same BLAS call per
 slice as one sample alone would, and per-sample gradients are added in
 sample order, so a batch gives the bytes of the one-sample-at-a-time path
 (kept as the test oracle). Features, virtual rows, readout sums and the
-readout gradient are filled with one call per stack, and a layer whose
-template is one graph for the whole stack passes its one (m, m) operator,
-which np.matmul broadcasts over the stack. Every parameter array is a view
-of one flat vector; the batch gradient is one vector in the same layout,
-averaged over the batch, and Adam steps the whole vector with the per-array
-arithmetic. A training run passes one _Run, which holds its layer operators
-and its gradient stack, to every engine call. No batch normalization: the
-graphs here are tiny and exact gradient checks matter more than large-scale
-training tricks.
+readout gradient are filled with one call per stack. A layer's operator is
+the dense (m, m) matrix of its template, and every template's is kept as
+the flat positions of its nonzeros, plus their values for GCN: a stack's
+(s, m, m) operators are scattered from them, so the memory a run holds per
+template grows with its edges, not with m^2. A layer whose template is one
+graph for the whole stack passes its one (1, m, m) operator, built once per
+run, which np.matmul broadcasts over the stack. Every parameter array is a
+view of one flat vector; the batch gradient is one vector in the same
+layout, averaged over the batch, and Adam steps the whole vector with the
+per-array arithmetic. A training run passes one _Run, which holds the
+operator entries, the shared operators and the gradient stack, to every
+engine call. No batch normalization: the graphs here are tiny and exact
+gradient checks matter more than large-scale training tricks.
 """
 
 from __future__ import annotations
@@ -24,20 +28,28 @@ import copy
 import functools
 import math
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 
 import numpy as np
 
 from .cayley import CayleyCache, build_cayley
-from .graphcore import UGraph, _as_int, gen_ba_graphs, gen_graph, star_graph
+from .graphcore import (
+    DENSE_NODE_CAP,
+    UGraph,
+    _as_int,
+    gen_ba_graphs,
+    gen_graph,
+    star_graph,
+)
 from .propagation import SCHEMES, PropagationPlan, build_plan
 
 LAYER_KINDS = ("gin", "gcn")
 
 # Samples per stack: consecutive samples that share an original and an
 # extended node count run through the layers as one (s, m, F) stack of at
-# most this many. A template shared by the whole stack passes its one (m, m)
-# operator, which np.matmul broadcasts, so a Cayley layer near the dense cap
-# is not copied into an (s, m, m) stack.
+# most this many. A template shared by the whole stack passes its one
+# (1, m, m) operator, which np.matmul broadcasts, so a Cayley layer near the
+# dense cap is not copied into an (s, m, m) stack.
 STACK_SAMPLES = 16
 
 ADAM_BETA1 = 0.9
@@ -210,35 +222,102 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
-def _layer_operator(g: UGraph, kind: str) -> np.ndarray:
+def _operator_entries(graphs: list[UGraph], kind: str) -> tuple[list, list | None]:
+    """Per graph, the flat positions of its layer operator's nonzeros in the
+    (m, m) matrix, as int32 (m <= DENSE_NODE_CAP), and their values, which
+    are None for GIN: its nonzeros are all 1.0. The graphs share m, and one
+    pass reads all their edge tuples.
+
+    GIN has 1.0 at (u, v) and (v, u) for every edge, and at (u, u) for a
+    flagged self-loop. GCN, D^-1/2 (A + I) D^-1/2, has d_u^-1/2 d_v^-1/2
+    there and on the whole diagonal, d_u the degree of u plus one; flagged
+    self-loops do not count. Each value rounds as the dense product does.
+    """
+    s, m = len(graphs), graphs[0].node_count
+    edges = [len(g.edges) for g in graphs]
+    flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
+    uv = np.fromiter(flat, np.intp, 2 * sum(edges)).reshape(-1, 2)
     if kind == "gin":
-        # A flagged self-loop contributes the node's own features once.
-        return g.adjacency_matrix(include_self_loops=True)
-    a_hat = g.adjacency_matrix() + np.eye(g.node_count)
-    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+        loops = [len(g.self_loops) for g in graphs]
+        flat = chain.from_iterable(g.self_loops for g in graphs)
+        diagonal = np.fromiter(flat, np.intp, sum(loops))
+    else:
+        loops = [m] * s
+        diagonal = np.tile(np.arange(m), s)
+    u = np.concatenate((uv[:, 0], uv[:, 1], diagonal))
+    v = np.concatenate((uv[:, 1], uv[:, 0], diagonal))
+    of = np.repeat(np.tile(np.arange(s), 3), edges + edges + loops)
+    # Each graph's entries in one contiguous run, in graph order.
+    order = np.argsort(of, kind="stable")
+    cuts = np.cumsum([2 * e + l for e, l in zip(edges, loops)])[:-1]
+    positions = np.split((u * m + v)[order].astype(np.int32), cuts)
+    if kind == "gin":
+        return positions, None
+    u += of * m
+    v += of * m
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(u, minlength=s * m) + 0.0)
+    return positions, np.split((inv_sqrt[u] * inv_sqrt[v])[order], cuts)
+
+
+def _scatter(positions: list, values: list | None, m: int) -> np.ndarray:
+    """The (s, m, m) stack of the dense operators with these entries."""
+    s = len(positions)
+    out = np.zeros(s * m * m)
+    offsets = np.arange(0, s * m * m, m * m)
+    at = np.concatenate(positions) + np.repeat(offsets, [len(p) for p in positions])
+    out[at] = 1.0 if values is None else np.concatenate(values)
+    return out.reshape(s, m, m)
 
 
 class _Run:
-    """The state of one training run: each (template, kind) layer operator
-    and, per parameter layout, one STACK_SAMPLES-deep gradient stack, built
-    once and dropped with the run."""
+    """The state of one training run: the entries of each (template, kind)
+    layer operator, the dense operator of each template that a stack shares,
+    and, per parameter layout, one STACK_SAMPLES-deep gradient stack; each is
+    built once and dropped with the run. A template that samples do not
+    share keeps only its entries, O(edges), and its stacks are scattered from
+    them."""
 
     def __init__(self) -> None:
-        # Keyed by (id(template), kind); each entry also holds its template,
-        # so the id cannot pass to another graph while the run exists.
-        self._operators = {}
+        # kind -> id(template) -> (template, positions, values), and
+        # (id(template), kind) -> (template, operator): each value holds its
+        # template, so the id cannot pass to another graph while the run
+        # exists.
+        self._entries = {kind: {} for kind in LAYER_KINDS}
+        self._shared = {}
         self._grad_buffers = {}
         self._grad_stacks = {}
 
-    def operator(self, g: UGraph, kind: str) -> np.ndarray:
-        """The run's shared, read-only layer operator of g."""
-        key = (id(g), kind)
-        if key not in self._operators:
-            op = _layer_operator(g, kind)
-            op.flags.writeable = False
-            self._operators[key] = (g, op)
-        return self._operators[key][1]
+    def operator(self, graphs: list[UGraph], kind: str) -> np.ndarray:
+        """The layer operator of a stack whose samples propagate over graphs,
+        which share a node count m: (s, m, m), or, when one graph serves
+        every sample of a stack of two or more, the run's shared, read-only
+        (1, m, m), which np.matmul broadcasts over the stack."""
+        g = graphs[0]
+        m = g.node_count
+        if m > DENSE_NODE_CAP:
+            raise ValueError(
+                f"a dense layer operator on {m} nodes exceeds the cap of "
+                f"{DENSE_NODE_CAP} nodes"
+            )
+        shared = len(graphs) > 1 and all(h is g for h in graphs)
+        if shared:
+            if (id(g), kind) in self._shared:
+                return self._shared[id(g), kind][1]
+            graphs = [g]
+        memo = self._entries[kind]
+        held = [memo.get(id(h)) for h in graphs]
+        if None in held:
+            missing = {id(h): h for h, e in zip(graphs, held) if e is None}
+            positions, values = _operator_entries(list(missing.values()), kind)
+            for k, h in enumerate(missing.values()):
+                memo[id(h)] = (h, positions[k], None if values is None else values[k])
+            held = [memo[id(h)] for h in graphs]
+        values = None if kind == "gin" else [e[2] for e in held]
+        ops = _scatter([e[1] for e in held], values, m)
+        if shared:
+            ops.flags.writeable = False
+            self._shared[id(g), kind] = (g, ops)
+        return ops
 
     def grad_stack(self, params: ModelParams, s: int) -> ModelParams:
         """params' layout over an uninitialised (s, P) stack of per-sample
@@ -302,11 +381,12 @@ def _stack_layer_backward(i: int, dout, cache, ops, p, grads):
         np.matmul(z.transpose(0, 2, 1), dpre, out=grads.w1)
         np.add.reduce(dpre, axis=1, out=grads.b1)
         dz = dpre @ p.w1.T
-        np.add.reduce(dz * x, axis=(1, 2), out=grads.eps)
-        if i == 0:
-            return None
-        dx = dz * c
-        dx += ops @ dz
+        dx = None
+        if i:
+            dx = dz * c
+            dx += ops @ dz
+        dz *= x
+        np.add.reduce(dz, axis=(1, 2), out=grads.eps)
         return dx
     sx, pre = cache
     dpre = dout * (pre > 0.0)
@@ -336,9 +416,8 @@ def _stack_forward(
     extended count.
 
     Returns the final embeddings (s, m, hidden), each sample's readout row
-    sum (s, hidden), the logits and each layer's (operators, cache). A layer
-    whose template is one graph for the whole stack gets its one (m, m)
-    operator, which np.matmul broadcasts over the stack.
+    sum (s, hidden), the logits and each layer's (operators, cache), the
+    operators as _Run.operator gives them.
     """
     s, rows, m = len(plans), plans[0].original_count, plans[0].extended_count
     first = params.layers[0]
@@ -353,11 +432,7 @@ def _stack_forward(
         )
     layers = []
     for i, layer in enumerate(params.layers):
-        graphs = [plan.layer_graphs[i] for plan in plans]
-        if all(g is graphs[0] for g in graphs):
-            ops = run.operator(graphs[0], layer.kind)
-        else:
-            ops = np.stack([run.operator(g, layer.kind) for g in graphs])
+        ops = run.operator([plan.layer_graphs[i] for plan in plans], layer.kind)
         h, cache = _stack_layer_forward(h, ops, layer)
         layers.append((ops, cache))
     sums = np.add.reduce(h[:, :rows], axis=1)
@@ -716,8 +791,8 @@ def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[Cu
 
     plan_builder maps a graph to its PropagationPlan; equal graphs share one
     plan, and every plan must follow config.scheme. The call makes one
-    _Run, which builds each layer operator once per (template, kind) and is
-    dropped when the call returns. A run whose loss, gradients, final
+    _Run, which builds each template's operator entries once per kind and
+    is dropped when the call returns. A run whose loss, gradients, final
     parameters or evaluation logits stop being finite is recorded as failed
     and does not stop the remaining sizes.
     """

@@ -21,6 +21,7 @@ excluded from readout.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -44,6 +45,11 @@ LAYER_INPUT_EXTENDED = "input_extended"
 LAYER_CAYLEY = "cayley"
 LAYER_FULLY_ADJACENT = "fully_adjacent"
 LAYER_MASTER = "master"
+
+# The complete graph of each extended count, shared by the plans that use it,
+# so a stack of FALast samples gets one broadcast operator. Held weakly: it
+# lives as long as such a plan, as complete_graph(8192) is 33 M edge tuples.
+_COMPLETE_GRAPHS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,11 @@ class PropagationPlan:
             LAYER_CAYLEY: self.cayley_template,
         }
         if LAYER_FULLY_ADJACENT in self.layer_kinds:
-            templates[LAYER_FULLY_ADJACENT] = complete_graph(self.extended_count)
+            m = self.extended_count
+            g = _COMPLETE_GRAPHS.get(m)
+            if g is None:
+                g = _COMPLETE_GRAPHS[m] = complete_graph(m)
+            templates[LAYER_FULLY_ADJACENT] = g
         return tuple(templates[kind] for kind in self.layer_kinds)
 
     @property
@@ -118,14 +128,14 @@ def extend_features(x: np.ndarray, m: int) -> np.ndarray:
 
 def extend_input_adjacency(g: UGraph, m: int) -> UGraph:
     """Grow g to m nodes: virtual nodes get one self-loop each and no other
-    edges, so input-graph layers leave them inert."""
+    edges, so input-graph layers leave them inert. m is an integer by the
+    rule of _as_int."""
+    m = _as_int(m, "node_count")
     if m < g.node_count:
         raise ValueError(f"cannot extend {g.node_count} nodes down to {m}")
     if m == g.node_count:
         return g
-    loops = set(g.self_loops)
-    loops.update(range(g.node_count, m))
-    return UGraph(m, g.edges, loops)
+    return UGraph._derived(m, g.edges, g.self_loops.union(range(g.node_count, m)))
 
 
 def master_node_graph(g: UGraph) -> UGraph:

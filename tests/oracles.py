@@ -6,11 +6,11 @@ edge for edge; brute-force and per-pair oracles for the diagnostics (group
 order, Cheeger constant, effective resistance); the `Generator.choice` BA
 generator that `graphcore.gen_ba_graphs` must match graph for graph, and
 choice's weighted pick in numpy's own steps; graph helpers that build test
-inputs (relabelling, disjoint unions, d-patterns, connectivity); the
-standalone layer forward, the per-sample training path and the per-array
-Adam step that the stacked, whole-vector engine in `cayleyprop.nn` must
-match bit for bit; and the wording of the library's integer check refusing a
-value. None of them is on a command's code path, so they live here rather
+inputs (relabelling, disjoint unions, d-patterns, connectivity); the dense
+layer operator, the standalone layer forward, the per-sample training path
+and the per-array Adam step that the stacked, whole-vector engine in
+`cayleyprop.nn` must match bit for bit; and the wording of the library's
+integer check refusing a value. None of them is on a command's code path, so they live here rather
 than in the package.
 """
 
@@ -32,7 +32,6 @@ from cayleyprop.nn import (
     ADAM_BETA2,
     ADAM_EPS,
     ModelParams,
-    _layer_operator,
     _loss_and_dz,
     readout,
 )
@@ -344,9 +343,20 @@ def cheeger_constant_bruteforce(g: UGraph) -> float:
 # ---------------------------------------------------------------------------
 
 
+def layer_operator(g: UGraph, kind: str) -> np.ndarray:
+    """The dense (m, m) operator of a GIN or GCN layer over g: the matrix the
+    run's scattered operators must match byte for byte."""
+    if kind == "gin":
+        # A flagged self-loop contributes the node's own features once.
+        return g.adjacency_matrix(include_self_loops=True)
+    a_hat = g.adjacency_matrix() + np.eye(g.node_count)
+    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
 def layer_forward(x: np.ndarray, g: UGraph, p) -> np.ndarray:
     """One GIN or GCN layer (as p.kind says) over the graph g."""
-    out, _ = _layer_forward(x, _layer_operator(g, p.kind), p)
+    out, _ = _layer_forward(x, layer_operator(g, p.kind), p)
     return out
 
 
@@ -411,7 +421,7 @@ def _forward_cached(plan: PropagationPlan, params: ModelParams, x: np.ndarray):
     h = extend_features(x, plan.extended_count)
     caches = []
     for layer, g in zip(params.layers, plan.layer_graphs):
-        op = _layer_operator(g, layer.kind)
+        op = layer_operator(g, layer.kind)
         h, cache = _layer_forward(h, op, layer)
         caches.append((layer, op, cache))
     z = readout(plan, params, h)

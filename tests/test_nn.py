@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cayleyprop.cayley import CayleyCache
-from cayleyprop.graphcore import UGraph, gen_graph, star_graph
+from cayleyprop.graphcore import DENSE_NODE_CAP, UGraph, gen_graph, star_graph
 from cayleyprop import nn
 from cayleyprop.nn import (
     LAYER_KINDS,
@@ -494,6 +494,14 @@ class TestStackedEngine:
             with pytest.raises(ValueError, match=message):
                 loss_and_grads([plan, plan], params, batch, nn._Run())
 
+    def test_an_operator_over_the_dense_cap_is_refused(self):
+        # Refused before anything of (m, m) size is allocated.
+        n = DENSE_NODE_CAP + 1
+        plan = build_plan(UGraph(n), "Base", 1)
+        params = init_params(np.random.default_rng(0), "gin", 1, 1, 1)
+        with pytest.raises(ValueError, match=f"{n} nodes.*{DENSE_NODE_CAP}"):
+            loss_and_grads([plan], params, [(np.ones((n, 1)), 1.0)], nn._Run())
+
     def test_features_are_read_as_float64_rows(self):
         # Lists, ints and a 1-D row for a one-node graph are read as
         # np.asarray(x, dtype=np.float64) and np.atleast_2d read them.
@@ -893,13 +901,13 @@ class TestOperatorMemo:
 
     def test_one_build_per_template_and_kind_per_run(self, cache, monkeypatch):
         built = []
-        adjacency = UGraph.adjacency_matrix
+        entries = nn._operator_entries
 
-        def counting_adjacency(g, *args, **kwargs):
-            built.append(g)
-            return adjacency(g, *args, **kwargs)
+        def counting_entries(graphs, kind):
+            built.extend(graphs)
+            return entries(graphs, kind)
 
-        monkeypatch.setattr(UGraph, "adjacency_matrix", counting_adjacency)
+        monkeypatch.setattr(nn, "_operator_entries", counting_entries)
         runs = self.record_runs(monkeypatch)
         ds = gen_sum_task("BA", 12, seed=4, test_size=5)
         config = TrainConfig(
@@ -931,6 +939,50 @@ class TestOperatorMemo:
         assert train(scheme_plan_builder("CGP", 2, cache=cache), ds, config) == rows
         assert len(built) == len(templates)
         assert len(runs) == 2 and runs[1]() is None
+
+    def test_per_sample_templates_keep_no_dense_operator(self, cache, monkeypatch):
+        # After a CGP run over N per-sample templates, the run's only (m, m)
+        # float array is the Cayley layer's shared operator; every input
+        # template keeps its entries, O(edges). Batches of 17 leave stacks
+        # of one sample, whose template is not shared either.
+        kept = []
+        loss_and_grads = nn.loss_and_grads
+
+        def keeping(plans, params, batch, run):
+            kept.append(run)
+            return loss_and_grads(plans, params, batch, run)
+
+        monkeypatch.setattr(nn, "loss_and_grads", keeping)
+        ds = gen_sum_task("BA", 40, seed=6, test_size=10)
+        config = TrainConfig(
+            epochs=1,
+            batch_size=17,
+            hidden_dim=4,
+            num_layers=2,
+            scheme="CGP",
+            train_sizes=(40,),
+        )
+        train(scheme_plan_builder("CGP", 2, cache=cache), ds, config)
+        run = kept[0]
+        m = 24
+        arrays = []
+
+        def walk(x):
+            if isinstance(x, np.ndarray):
+                arrays.append(x)
+                if x.base is not None:
+                    walk(x.base)
+            elif isinstance(x, (dict, list, tuple)):
+                for y in x.values() if isinstance(x, dict) else x:
+                    walk(y)
+
+        walk(vars(run))
+        dense = [a for a in arrays if a.dtype.kind == "f" and a.shape[-2:] == (m, m)]
+        assert [a.shape for a in dense] == [(1, m, m)]
+        entries = list(run._entries["gin"].values())
+        assert len(entries) == len(ds.train) + len(ds.test) + 1
+        assert {p.ndim for _, p, _ in entries} == {1}
+        assert {v for _, _, v in entries} == {None}
 
     def test_workspace_is_dropped_when_a_run_raises(self, monkeypatch):
         runs = self.record_runs(monkeypatch)

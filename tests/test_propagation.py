@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -123,6 +125,20 @@ class TestBuildPlan:
         assert plan.layer_kinds == ("input", "input", "fully_adjacent")
         fa = plan.layer_graphs[-1]
         assert fa.edge_count == 6
+
+    def test_fa_last_plans_of_one_count_share_one_complete_graph(self):
+        # One graph object, so a stack of FALast samples gets one broadcast
+        # operator; it lives as long as a plan that uses it, and no longer.
+        first = build_plan(UGraph(7, [(0, 1)]), "FALast", 2)
+        second = build_plan(gen_graph("ER", 7, 3, p=0.5), "FALast", 3)
+        fa = first.layer_graphs[-1]
+        assert second.layer_graphs[-1] is fa
+        assert fa == UGraph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
+        assert build_plan(UGraph(8), "FALast", 2).layer_graphs[-1].node_count == 8
+        alive = weakref.ref(fa)
+        del first, second, fa
+        gc.collect()
+        assert alive() is None
 
     def test_cgp_last_and_every(self, cache):
         g = gen_graph("ER", 20, 1, p=0.3)

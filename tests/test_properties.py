@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from cayleyprop import nn
 from cayleyprop.cayley import build_cayley, smallest_modulus
 from cayleyprop.graphcore import (
     UGraph,
@@ -26,10 +27,10 @@ from cayleyprop.graphcore import (
     induced_prefix_subgraph,
     star_graph,
 )
-from cayleyprop.nn import TrainConfig, gen_sum_task
-from cayleyprop.propagation import build_plan
+from cayleyprop.nn import LAYER_KINDS, STACK_SAMPLES, TrainConfig, gen_sum_task
+from cayleyprop.propagation import build_plan, extend_input_adjacency
 from cayleyprop.spectral import expansion_sweep
-from oracles import choice_cdf, choice_p, gen_ba_choice, int_refusal
+from oracles import choice_cdf, choice_p, gen_ba_choice, int_refusal, layer_operator
 
 # Hypothesis caches the constants it finds in the library's source under its
 # home directory, ./.hypothesis unless set, and its pytest plugin does so while
@@ -252,3 +253,53 @@ def test_a_numpy_integer_gives_the_python_int_result(argument, dtype, data):
     from_int = call(x)
     # Pickled, a numpy integer left anywhere in the result shows.
     assert pickle.dumps(from_numpy) == pickle.dumps(from_int)
+
+
+# Graphs on n nodes: any set of ordinary edges, from none to dense, and any
+# set of flagged self-loops.
+@st.composite
+def graphs_on(draw, n):
+    node = st.integers(0, n - 1)
+    pairs = draw(st.sets(st.tuples(node, node), max_size=4 * n))
+    loops = draw(st.sets(node, max_size=n))
+    return UGraph(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v}, loops)
+
+
+@DETERMINISTIC
+@given(m=st.integers(1, 30), kind=st.sampled_from(LAYER_KINDS), data=st.data())
+def test_stacked_operators_match_the_dense_oracle(m, kind, data):
+    # Stacks drawn from a few templates repeat them; a stack of one template
+    # gets the shared broadcast operator. The second stack finds some entries
+    # built and some not.
+    templates = data.draw(st.lists(graphs_on(m), min_size=1, max_size=4))
+    stack_of = st.lists(st.sampled_from(templates), min_size=1, max_size=STACK_SAMPLES)
+    run = nn._Run()
+    for stack in (data.draw(stack_of), data.draw(stack_of)):
+        ops = run.operator(stack, kind)
+        want = np.stack([layer_operator(g, kind) for g in stack])
+        shared = len(stack) > 1 and all(g is stack[0] for g in stack)
+        assert ops.shape == ((1, m, m) if shared else want.shape)
+        assert np.broadcast_to(ops, want.shape).tobytes() == want.tobytes()
+
+
+@DETERMINISTIC
+@given(g=st.integers(1, 30).flatmap(graphs_on), data=st.data())
+def test_derived_templates_equal_the_validated_graph(g, data):
+    # The extension and the prefix skip UGraph's checks; each must be the
+    # graph the validating constructor makes of the same parts.
+    n = g.node_count
+    m = data.draw(st.integers(n, 40))
+    v = data.draw(st.integers(1, n))
+    extended = extend_input_adjacency(g, m)
+    prefix = induced_prefix_subgraph(g, v)
+    pairs = (
+        (extended, UGraph(m, g.edges, set(g.self_loops) | set(range(n, m)))),
+        (
+            prefix,
+            UGraph(v, [e for e in g.edges if e[1] < v], [u for u in g.self_loops if u < v]),
+        ),
+    )
+    for got, expected in pairs:
+        assert got == expected and hash(got) == hash(expected)
+        assert type(got.edges) is tuple and type(got.self_loops) is frozenset
+        assert got.adj == expected.adj
