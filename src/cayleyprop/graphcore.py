@@ -130,7 +130,8 @@ class UGraph:
     def degrees(self) -> list[int]:
         return [len(nbrs) for nbrs in self.adj]
 
-    def adjacency_matrix(self, include_self_loops: bool = False) -> np.ndarray:
+    def adjacency_matrix(self) -> np.ndarray:
+        """Dense 0/1 adjacency of the ordinary edges; self-loops left out."""
         if self.node_count > DENSE_NODE_CAP:
             raise ValueError(
                 f"a dense matrix on {self.node_count} nodes exceeds the cap of "
@@ -140,9 +141,6 @@ class UGraph:
         for u, v in self.edges:
             a[u, v] = 1.0
             a[v, u] = 1.0
-        if include_self_loops:
-            for u in self.self_loops:
-                a[u, u] = 1.0
         return a
 
     # perfbench/spans.py traces this name; the tracer fails without it.
@@ -362,15 +360,15 @@ def gen_ba_graphs(n: int, m: int, seeds: Iterable[int]) -> list[UGraph]:
             in_pool[rows, picked] = False
         degree[rows[:, None], targets[:, new - core]] += 1
         degree[:, new] = m
-    targets.sort(axis=2)
+    # One tuple per distinct pair, keyed u * n + new, shared by every graph
+    # of the call, as the core clique's are: UGraph keeps a canonical tuple.
+    keys = targets * n + np.arange(core, n)[:, None]
+    distinct, index = np.unique(keys, return_inverse=True)
+    pairs = [divmod(key, n) for key in distinct.tolist()]
     core_edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
     return [
-        UGraph(
-            n,
-            core_edges
-            + [(u, new) for new, ts in enumerate(per_graph, core) for u in ts],
-        )
-        for per_graph in targets.tolist()
+        UGraph(n, core_edges + [pairs[i] for i in row])
+        for row in index.reshape(count, steps * m).tolist()
     ]
 
 

@@ -663,10 +663,12 @@ def gen_sum_task(
             [seed, _SEED_TAG_GRAPHS, split_tag, SUM_TASK_STRUCTURES.index(structure)]
         )
         graphs = _structure_graphs(structure, rows, count, graph_rng)
+        # Every pool is drawn into one buffer, the doubles of a fresh
+        # (pool_rows, dim) draw, and each sample copies out its own rows.
+        pool = np.empty((pool_rows, SUM_TASK_FEATURE_DIM))
         samples = []
         for g in graphs:
-            # Copied out, so a sample does not keep the unused pool rows alive.
-            pool = feat_rng.standard_normal((pool_rows, SUM_TASK_FEATURE_DIM))
+            feat_rng.standard_normal(out=pool)
             x = pool[:rows].copy()
             label = int(x.sum(axis=0) @ teacher > 0.0)
             samples.append(SumTaskSample(graph=g, features=x, label=label))

@@ -77,7 +77,9 @@ def eig_sym(m: np.ndarray) -> np.ndarray:
         return _laplacian_spectrum(m)
     w, q = np.linalg.eigh(m)
     norm = max(float(np.linalg.norm(m)), 1.0)
-    residual = float(np.linalg.norm(m @ q - q * w))
+    r = m @ q
+    r -= q * w
+    residual = float(np.linalg.norm(r))
     if not residual <= EIG_TOL * norm:
         raise RuntimeError(
             f"eigendecomposition residual {residual:.3e} exceeds "

@@ -348,7 +348,10 @@ def layer_operator(g: UGraph, kind: str) -> np.ndarray:
     run's scattered operators must match byte for byte."""
     if kind == "gin":
         # A flagged self-loop contributes the node's own features once.
-        return g.adjacency_matrix(include_self_loops=True)
+        a = g.adjacency_matrix()
+        for u in g.self_loops:
+            a[u, u] = 1.0
+        return a
     a_hat = g.adjacency_matrix() + np.eye(g.node_count)
     inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]

@@ -22,6 +22,7 @@ from oracles import (
     disjoint_union,
     gen_ba_choice,
     is_connected,
+    layer_operator,
     relabel_nodes,
 )
 
@@ -85,9 +86,8 @@ class TestUGraph:
         g = UGraph(3, [(0, 1)], self_loops=[2])
         assert len(g.adj[2]) == 0
         assert 2 in g.self_loops
-        a = g.adjacency_matrix(include_self_loops=True)
-        assert a[2, 2] == 1.0
         assert g.adjacency_matrix()[2, 2] == 0.0
+        assert layer_operator(g, "gin")[2, 2] == 1.0
 
     def test_canonical_edge_tuples_are_shared(self):
         g = gen_graph("ER", 12, 5, p=0.4)

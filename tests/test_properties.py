@@ -68,6 +68,24 @@ def test_ba_graphs_match_choice_oracle_seed_by_seed(n, m, seeds):
 
 
 @DETERMINISTIC
+@given(n=st.integers(1, 40), m=st.integers(1, 8), seeds=SEED_LISTS)
+def test_ba_graphs_of_one_call_share_one_tuple_per_pair(n, m, seeds):
+    # Each graph is what the validating constructor builds from its edges,
+    # the graphs of one call hold one tuple object per distinct pair, and a
+    # second call shares none of them: the memo lives for one call.
+    calls = [gen_ba_graphs(n, m, seeds) for _ in range(2)]
+    objects = []
+    for graphs in calls:
+        first = {}
+        for g in graphs:
+            assert g == UGraph(n, g.edges)
+            for e in g.edges:
+                assert first.setdefault(e, e) is e
+        objects.append({id(e) for e in first.values()})
+    assert not objects[0] & objects[1]
+
+
+@DETERMINISTIC
 @given(
     seeds=st.lists(st.integers(0, 2**64 - 1), max_size=4),
     bad=st.booleans() | st.floats(allow_nan=False) | st.text(max_size=3) | st.none(),
