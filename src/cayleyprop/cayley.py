@@ -23,7 +23,6 @@ from .graphcore import (
 from .modgroup import generators, sl2_order
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
-CACHE_ENV_VAR = "CAYLEYPROP_CACHE_DIR"
 
 
 @dataclass(frozen=True)
@@ -107,21 +106,14 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "cayleyprop"
-
-
 class CayleyCache:
-    """Two-level (memory, disk) cache of Cayley graphs keyed by modulus.
-
-    Disk entries are edge-list files named by modulus and vertex count.
-    """
+    """Cayley graphs by modulus, each built once per cache: in memory only,
+    or also as edge-list files in a given directory for later caches to load.
+    A loaded file is checked for node count and regularity only, so a regular
+    impostor, such as the group graph after one double-edge swap, loads."""
 
     def __init__(self, directory: str | Path | None = None):
-        self.directory = Path(directory) if directory else default_cache_dir()
+        self.directory = Path(directory) if directory else None
         self._memory: dict[int, UGraph] = {}
 
     def path_for(self, n: int) -> Path:
@@ -132,8 +124,8 @@ class CayleyCache:
         hit = self._memory.get(n)
         if hit is not None:
             return hit
-        path = self.path_for(n)
-        if path.is_file():
+        path = self.path_for(n) if self.directory is not None else None
+        if path is not None and path.is_file():
             try:
                 g = parse_edge_list(path.read_text())
             except (EdgeListParseError, UnicodeDecodeError) as exc:
@@ -147,7 +139,8 @@ class CayleyCache:
                 )
         else:
             g = build_cayley(n).graph
-            self._write_atomic(path, emit_edge_list(g))
+            if path is not None:
+                self._write_atomic(path, emit_edge_list(g))
         self._memory[n] = g
         return g
 

@@ -8,13 +8,11 @@ outputs can be reproduced byte for byte (timings aside).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import ctypes
 import dataclasses
 import json
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -155,16 +153,19 @@ def _int_from(minimum: int):
 
 
 def cmd_build_cayley(args) -> int:
+    if not (args.out or args.cache_dir):
+        raise UsageError("build-cayley writes nothing without --out or --cache-dir")
     n = args.n if args.n is not None else smallest_modulus(args.nodes)
     cache = CayleyCache(args.cache_dir)
     g = cache.graph(n)
-    outputs = [str(cache.path_for(n))]
+    outputs = [str(cache.path_for(n))] if cache.directory else []
     if args.out:
         write_atomic(Path(args.out), emit_edge_list(g))
         outputs.append(args.out)
+    cached = f" cache={cache.path_for(n)}" if cache.directory else ""
     print(
         f"modulus={n} nodes={g.node_count} edges={g.edge_count} "
-        f"degree={max(g.degrees(), default=0)} cache={cache.path_for(n)}"
+        f"degree={max(g.degrees(), default=0)}{cached}"
     )
     _emit_manifest(args, outputs)
     return EXIT_OK
@@ -237,6 +238,8 @@ def cmd_rewire(args) -> int:
     cache = CayleyCache(args.cache_dir)
     out_dir = Path(args.out_dir)
     results, failures = [], []
+    # The run writes summary.json and, by default, summary.json.manifest.json.
+    taken = {"summary", "summary.json.manifest"}
     for i, entry in enumerate(entries):
         name = entry.get("name", f"graph{i}")
         try:
@@ -244,6 +247,9 @@ def cmd_rewire(args) -> int:
             plain = isinstance(name, str) and name not in ("", ".", "..")
             if not plain or Path(name).name != name:
                 raise ValueError(f"name {name!r} is not a single plain file name")
+            if name in taken:
+                raise ValueError(f"name {name!r} is taken by an earlier entry or the run")
+            taken.add(name)
             if not isinstance(entry["graph"], str):
                 raise ValueError(f"graph {entry['graph']!r} is not a path string")
             graph_file = manifest_path.parent / entry["graph"]
@@ -365,23 +371,18 @@ def cmd_bench(args) -> int:
     if not sizes:
         raise UsageError("no benchmark sizes at or below --n-max")
     lines = ["n,seconds"]
-    with (
-        tempfile.TemporaryDirectory(prefix="cayleyprop-bench-")
-        if args.cold
-        else contextlib.nullcontext(args.cache_dir)
-    ) as cache_dir:
-        cache = CayleyCache(cache_dir)
-        for n in sizes:
-            p = 5.0 * np.log(n) / n if n > 1 else 0.0
-            g = gen_graph("ER", n, args.seed, p=min(p, 1.0))
-            t0 = time.perf_counter()
-            plan = build_plan(g, "CGP", 2, cache=cache)
-            elapsed = time.perf_counter() - t0
-            lines.append(f"{n},{elapsed:.6f}")
-            print(
-                f"n={n} |V(Cay)|={plan.extended_count} virtual={plan.virtual_count} "
-                f"seconds={elapsed:.4f}"
-            )
+    cache = CayleyCache(args.cache_dir)
+    for n in sizes:
+        p = 5.0 * np.log(n) / n if n > 1 else 0.0
+        g = gen_graph("ER", n, args.seed, p=min(p, 1.0))
+        t0 = time.perf_counter()
+        plan = build_plan(g, "CGP", 2, cache=cache)
+        elapsed = time.perf_counter() - t0
+        lines.append(f"{n},{elapsed:.6f}")
+        print(
+            f"n={n} |V(Cay)|={plan.extended_count} virtual={plan.virtual_count} "
+            f"seconds={elapsed:.4f}"
+        )
     write_atomic(Path(args.out), "\n".join(lines) + "\n")
     _emit_manifest(args, [args.out], [args.seed])
     return EXIT_OK
@@ -452,14 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--cache-dir", default=None, help="Cayley graph cache directory")
+        p.add_argument("--cache-dir", default=None, help="keep Cayley graph files here")
         p.add_argument("--manifest", default=None, help="run-manifest output path")
 
-    p = sub.add_parser("build-cayley", help="construct and cache a Cayley graph")
+    p = sub.add_parser("build-cayley", help="write a Cayley graph's edge list")
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--n", type=_int_from(2), help="modulus")
     target.add_argument("--nodes", type=_int_from(1), help="target node count")
-    p.add_argument("--out", default=None, help="also write the edge list here")
+    p.add_argument("--out", default=None, help="write the edge list here")
     common(p)
     p.set_defaults(func=cmd_build_cayley)
 
@@ -510,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default=None, help="comma-separated node counts")
     p.add_argument("--n-max", type=int, default=10000)
     p.add_argument("--seed", type=_int_from(0), default=0)
-    p.add_argument("--cold", action="store_true", help="use a fresh empty cache")
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=cmd_bench)

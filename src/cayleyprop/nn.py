@@ -865,6 +865,10 @@ def curve_to_csv(rows: list[CurveRow]) -> str:
 
 
 def scheme_plan_builder(scheme: str, num_layers: int, cache: CayleyCache | None = None):
+    """Plan builder for scheme and num_layers. Without a cache it holds a
+    memory-only one of its own, so it builds each modulus once."""
+    cache = cache or CayleyCache()
+
     def builder(g: UGraph) -> PropagationPlan:
         return build_plan(g, scheme, num_layers, cache=cache)
 

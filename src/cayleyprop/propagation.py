@@ -152,7 +152,8 @@ def build_plan(
     *,
     cache: CayleyCache | None = None,
 ) -> PropagationPlan:
-    """Assemble the template graphs and layer schedule for one input graph."""
+    """Assemble the template graphs and layer schedule for one input graph.
+    Without a cache, a Cayley scheme builds its group in a memory-only one."""
     num_layers = _as_int(num_layers, "num_layers", 1)
     if scheme not in SCHEMES:
         raise ValueError(f"unsupported scheme {scheme!r}; expected one of {SCHEMES}")

@@ -296,7 +296,7 @@ def expansion_sweep(
 ) -> list[SweepRow]:
     """One row per target size v: smallest-modulus Cayley graph truncated
     to v nodes and analyzed. Rows at the exact group orders are flagged
-    complete."""
+    complete. Without a cache, the groups are built in a memory-only one."""
     v_min = _as_int(v_min, "v_min", 2)
     v_max = _as_int(v_max, "v_max")
     # Fail before the first row, not after hours of rows below the cap.

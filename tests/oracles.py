@@ -301,6 +301,17 @@ def effective_resistance_pair(g: UGraph, u: int, v: int) -> float:
     return float(z @ pinv @ z)
 
 
+def diameter_per_source(g: UGraph) -> int | None:
+    """Hop diameter by one BFS per source node: the oracle for the frontier
+    form of diameter_bfs."""
+    if g.node_count == 0:
+        return None
+    dists = [g.bfs_distances(s) for s in range(g.node_count)]
+    if any(-1 in d for d in dists):
+        return None
+    return max(max(d) for d in dists)
+
+
 def cheeger_constant_bruteforce(g: UGraph) -> float:
     """Exact Cheeger constant by exhaustive subset enumeration.
 

@@ -205,11 +205,17 @@ class TestCache:
         cache = CayleyCache(tmp_path)
         assert cache.graph(3) is cache.graph(3)
 
-    def test_env_var_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CAYLEYPROP_CACHE_DIR", str(tmp_path / "envcache"))
+    def test_without_a_directory_nothing_touches_disk(self, tmp_path, monkeypatch):
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.chdir(tmp_path)
         cache = CayleyCache()
-        cache.graph(2)
-        assert (tmp_path / "envcache" / "cayley-n2-v6.edgelist").is_file()
+        assert cache.directory is None
+        g = cache.graph(3)
+        assert g == build_cayley(3).graph and cache.graph(3) is g
+        assert [p.name for p in tmp_path.iterdir()] == ["home"]
+        assert list(home.iterdir()) == []
 
     def test_irregular_cache_file_rejected(self, tmp_path):
         # right node count, wrong edges: must not pass for Cay(SL(2, Z_5))

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -10,9 +9,11 @@ import pytest
 
 import cayleyprop
 from cayleyprop import spectral
+from cayleyprop.cayley import CayleyCache, build_cayley
 from cayleyprop.cli import main
 from cayleyprop.graphcore import (
     DENSE_NODE_CAP,
+    UGraph,
     emit_edge_list,
     gen_graph,
     parse_edge_list,
@@ -153,7 +154,10 @@ class TestBuildCayley:
             capsys,
         )
         assert code == 0
-        assert "nodes=24" in out and "edges=48" in out and "degree=4" in out
+        assert out == (
+            "modulus=3 nodes=24 edges=48 degree=4 "
+            f"cache={Path(cache_dir) / 'cayley-n3-v24.edgelist'}\n"
+        )
         g = parse_edge_list(out_file.read_text())
         assert g.node_count == 24
         manifest = json.loads((tmp_path / "m.json").read_text())
@@ -213,6 +217,27 @@ class TestBuildCayley:
         )
         assert code == 0
         assert "modulus=3" in out
+
+    def test_without_a_cache_dir_writes_only_the_edge_list(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(["build-cayley", "--nodes", "24", "--out", "c3.edgelist"], capsys)
+        assert code == 0
+        assert out == "modulus=3 nodes=24 edges=48 degree=4\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c3.edgelist", "c3.edgelist.manifest.json"
+        ]
+        assert (tmp_path / "c3.edgelist").read_text() == emit_edge_list(build_cayley(3).graph)
+        manifest = json.loads((tmp_path / "c3.edgelist.manifest.json").read_text())
+        assert manifest["outputs"] == ["c3.edgelist"]
+
+    def test_nothing_to_write_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["build-cayley", "--n", "3"], capsys)
+        assert code == 1
+        assert err == "usage error: build-cayley writes nothing without --out or --cache-dir\n"
+        assert out == "" and list(tmp_path.iterdir()) == []
 
 
 class TestAnalyze:
@@ -531,6 +556,49 @@ class TestRewire:
         assert (out_dir / "g0.json").is_file()
         assert not (out_dir / "bad.json").exists()
 
+    def test_repeated_name_is_a_recorded_failure(self, capsys, cache_dir, tmp_path):
+        manifest = self._write_dataset(tmp_path, [10, 12])
+        data = json.loads(manifest.read_text())
+        data["graphs"][1]["name"] = "g0"
+        manifest.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        code, out, _ = run(
+            ["rewire", str(manifest), "--out-dir", str(out_dir),
+             "--cache-dir", cache_dir, "--manifest", str(tmp_path / "m.json")],
+            capsys,
+        )
+        assert code == 2
+        assert "exported 1/2" in out
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert [g["name"] for g in summary["graphs"]] == ["g0"]
+        assert [f["name"] for f in summary["failures"]] == ["g0"]
+        assert "taken" in summary["failures"][0]["error"]
+        # The first entry's files are kept, not overwritten by the second's.
+        assert json.loads((out_dir / "g0.json").read_text())["original_count"] == 10
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "g0.cayley.edgelist", "g0.input_extended.edgelist", "g0.json", "summary.json"
+        ]
+
+    @pytest.mark.parametrize("name", ["summary", "summary.json.manifest"])
+    def test_summary_names_are_reserved(self, capsys, cache_dir, tmp_path, name):
+        manifest = self._write_dataset(tmp_path, [10])
+        data = json.loads(manifest.read_text())
+        data["graphs"].append({"name": name, "graph": "g0.edgelist"})
+        manifest.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        # No --manifest: the run's manifest goes to out/summary.json.manifest.json.
+        code, _, _ = run(
+            ["rewire", str(manifest), "--out-dir", str(out_dir), "--cache-dir", cache_dir],
+            capsys,
+        )
+        assert code == 2
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert [g["name"] for g in summary["graphs"]] == ["g0"]
+        assert [f["name"] for f in summary["failures"]] == [name]
+        run_manifest = json.loads((out_dir / "summary.json.manifest.json").read_text())
+        assert run_manifest["command"] == "rewire"
+        assert not (out_dir / f"{name}.cayley.edgelist").exists()
+
 
 class TestTrainCommand:
     def test_smoke_run_within_budget(self, capsys, cache_dir, tmp_path):
@@ -687,26 +755,6 @@ class TestBench:
         assert code == 0
         assert len((tmp_path / "b.csv").read_text().strip().split("\n")) == 2
 
-    def test_cold_cache_directory_removed(self, capsys, tmp_path, monkeypatch):
-        scratch = tmp_path / "tmp"
-        scratch.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-        code, _, _ = run(
-            [
-                "bench",
-                "--sizes",
-                "50",
-                "--cold",
-                "--out",
-                str(tmp_path / "b.csv"),
-                "--manifest",
-                str(tmp_path / "m.json"),
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert list(scratch.glob("cayleyprop-bench-*")) == []
-
     def test_ceiling_guard(self, capsys, cache_dir, tmp_path):
         code, _, _ = run(
             [
@@ -721,3 +769,74 @@ class TestBench:
             capsys,
         )
         assert code == 1
+
+
+def double_edge_swap(g):
+    """g with edges (a, b), (c, d) swapped for (a, d), (c, b): every degree
+    is kept, so the result is as regular as g."""
+    edges = set(g.edges)
+    for (a, b), (c, d) in zip(g.edges, g.edges[1:]):
+        swapped = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        if len({a, b, c, d}) == 4 and not swapped & edges:
+            return UGraph(g.node_count, (edges - {(a, b), (c, d)}) | swapped)
+    raise AssertionError("no swappable pair of edges")
+
+
+class TestWithoutCacheDir:
+    """Without --cache-dir no command reads or writes a Cayley graph file."""
+
+    def run_every_command(self, capsys, monkeypatch, work):
+        """Run each command that takes --cache-dir, without it, in work;
+        return the bytes of every output file but the timed ones."""
+        work.mkdir()
+        g = gen_graph("BA", 20, 7, m=2)
+        (work / "g.edgelist").write_text(emit_edge_list(g))
+        (work / "dataset.json").write_text(
+            json.dumps({"graphs": [{"name": "g", "graph": "g.edgelist"}]})
+        )
+        commands = [
+            ["build-cayley", "--n", "3", "--out", "c3.edgelist"],
+            ["analyze", "--cayley", "3", "--out", "report.json"],
+            ["sweep", "--v-min", "6", "--v-max", "30", "--out", "sweep.csv"],
+            ["rewire", "dataset.json", "--out-dir", "rewired"],
+            ["train", "--structures", "BA", "--seeds", "0", "--train-sizes", "8",
+             "--test-size", "4", "--epochs", "1", "--hidden", "4", "--scheme", "CGP",
+             "--out", "curves.csv"],
+            ["bench", "--sizes", "20", "--out", "bench.csv"],
+        ]
+        monkeypatch.chdir(work)
+        for argv in commands:
+            code, _, err = run(argv, capsys)
+            assert code == 0, (argv, err)
+        return {
+            str(p.relative_to(work)): p.read_bytes()
+            for p in sorted(work.rglob("*"))
+            if p.is_file() and "manifest" not in p.name and p.name != "bench.csv"
+        }
+
+    def test_home_stays_empty(self, capsys, tmp_path, monkeypatch):
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        outputs = self.run_every_command(capsys, monkeypatch, tmp_path / "work")
+        assert list(home.iterdir()) == []
+        assert not list(tmp_path.rglob("cayley-n*"))
+        assert outputs["c3.edgelist"] == emit_edge_list(build_cayley(3).graph).encode()
+
+    def test_a_tampered_file_at_the_old_default_path_changes_nothing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        true = build_cayley(3).graph
+        tampered = double_edge_swap(true)
+        old_default = tmp_path / "home" / ".cache" / "cayleyprop"
+        old_default.mkdir(parents=True)
+        (old_default / "cayley-n3-v24.edgelist").write_text(emit_edge_list(tampered))
+        # A named directory still loads the swap: it is regular, and the disk
+        # tier checks no more than that.
+        assert CayleyCache(old_default).graph(3) == tampered != true
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        with_file = self.run_every_command(capsys, monkeypatch, tmp_path / "with-file")
+        monkeypatch.setenv("HOME", str(tmp_path / "empty-home"))
+        clean = self.run_every_command(capsys, monkeypatch, tmp_path / "clean")
+        assert with_file == clean
+        assert "rewired/g.cayley.edgelist" in clean

@@ -8,7 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from cayleyprop.cayley import CayleyCache
+from cayleyprop import cayley
+from cayleyprop.cayley import CayleyCache, smallest_modulus
 from cayleyprop.graphcore import DENSE_NODE_CAP, UGraph, gen_graph, star_graph
 from cayleyprop import nn
 from cayleyprop.nn import (
@@ -858,6 +859,19 @@ class TestTrain:
             train(scheme_plan_builder("Base", 1), ds, config)
         assert steps == []
 
+
+    def test_builder_without_a_cache_builds_each_modulus_once(self, monkeypatch):
+        built = []
+        real = cayley.build_cayley
+        monkeypatch.setattr(cayley, "build_cayley", lambda n: built.append(n) or real(n))
+        builder = scheme_plan_builder("CGP", 2)
+        # 3..6 nodes pad to Cay(SL(2, Z_2)), 7..24 to n = 3, 30 to n = 4.
+        for v in (3, 5, 6, 7, 20, 24, 30, 20, 5):
+            assert builder(gen_graph("ER", v, 0, p=0.5)).modulus == smallest_modulus(v)
+        assert built == [2, 3, 4]
+        # Each builder holds its own memory cache.
+        scheme_plan_builder("CGP", 2)(gen_graph("ER", 20, 0, p=0.5))
+        assert built == [2, 3, 4, 3]
 
     # SHA-256 of the CSVs below, concatenated, recorded with the per-sample
     # engine. The stacked engine sums in the same order, so any change to

@@ -26,6 +26,7 @@ from cayleyprop.spectral import (
 )
 from oracles import (
     cheeger_constant_bruteforce,
+    diameter_per_source,
     disjoint_union,
     effective_resistance_pair,
     is_connected,
@@ -308,17 +309,6 @@ class TestDirichlet:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             dirichlet_energy(EDGE, np.ones((3, 1)))
-
-
-def diameter_per_source(g):
-    """Hop diameter by one BFS per source node: the oracle for the frontier
-    form of diameter_bfs."""
-    if g.node_count == 0:
-        return None
-    dists = [g.bfs_distances(s) for s in range(g.node_count)]
-    if any(-1 in d for d in dists):
-        return None
-    return max(max(d) for d in dists)
 
 
 class TestDiameterOracle:
