@@ -1,8 +1,11 @@
 """Command-line surface: build, analyze, sweep, rewire, train, bench.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 runtime failure.
-Every run emits a JSON manifest describing the resolved configuration, so
-outputs can be reproduced byte for byte (timings aside).
+Each option is checked once, before the command does any work: by its
+argparse type, or at the top of the command when the check spans options;
+--plot loads matplotlib first. Every run emits a JSON manifest describing
+the resolved configuration, so outputs can be reproduced byte for byte
+(timings aside).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import BLAS_THREAD_VARS, __version__
-from .cayley import CayleyCache, smallest_modulus, write_atomic
+from .cayley import CayleyCache, build_cayley, smallest_modulus, write_atomic
 from .graphcore import (
     EdgeListParseError,
     emit_edge_list,
@@ -27,6 +30,7 @@ from .graphcore import (
     induced_prefix_subgraph,
     parse_edge_list,
 )
+from .modgroup import sl2_order
 from .nn import (
     SUM_TASK_STRUCTURES,
     TrainConfig,
@@ -122,18 +126,6 @@ def _blas_core() -> str | None:
     return None
 
 
-def _int_list(text: str, minimum: int) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}")
-    if not values or any(v < minimum for v in values):
-        raise UsageError(
-            f"expected a non-empty list of integers >= {minimum}, got {text!r}"
-        )
-    return values
-
-
 def _int_from(minimum: int):
     """argparse type: an integer no smaller than minimum."""
 
@@ -147,27 +139,43 @@ def _int_from(minimum: int):
     return parse
 
 
+def _structure(text: str) -> str:
+    """argparse type: a sum-task structure name."""
+    if text not in SUM_TASK_STRUCTURES:
+        raise argparse.ArgumentTypeError(
+            f"unknown structure {text!r}; expected one of {SUM_TASK_STRUCTURES}"
+        )
+    return text
+
+
+def _list_of(item):
+    """argparse type: a non-empty comma-separated list, each entry parsed by
+    item, another argparse type."""
+
+    def parse(text: str) -> list:
+        values = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a non-empty list, got {text!r}")
+        return values
+
+    parse.__name__ = f"{item.__name__} list"  # "invalid int list value"
+    return parse
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_build_cayley(args) -> int:
-    if not (args.out or args.cache_dir):
-        raise UsageError("build-cayley writes nothing without --out or --cache-dir")
     n = args.n if args.n is not None else smallest_modulus(args.nodes)
-    cache = CayleyCache(args.cache_dir)
-    g = cache.graph(n)
-    outputs = [str(cache.path_for(n))] if cache.directory else []
-    if args.out:
-        write_atomic(Path(args.out), emit_edge_list(g))
-        outputs.append(args.out)
-    cached = f" cache={cache.path_for(n)}" if cache.directory else ""
+    g = build_cayley(n).graph
+    write_atomic(Path(args.out), emit_edge_list(g))
     print(
         f"modulus={n} nodes={g.node_count} edges={g.edge_count} "
-        f"degree={max(g.degrees(), default=0)}{cached}"
+        f"degree={max(g.degrees(), default=0)}"
     )
-    _emit_manifest(args, outputs)
+    _emit_manifest(args, [args.out])
     return EXIT_OK
 
 
@@ -175,16 +183,12 @@ def cmd_analyze(args) -> int:
     if args.truncate is not None and args.cayley is None:
         raise UsageError("--truncate requires --cayley")
     if args.cayley is not None:
-        full = CayleyCache(args.cache_dir).graph(args.cayley)
-        if args.truncate is None:
-            g = full
-        else:
-            if not 1 <= args.truncate <= full.node_count:
-                raise UsageError(
-                    f"--truncate must be in 1..{full.node_count} for modulus "
-                    f"{args.cayley}"
-                )
-            g = induced_prefix_subgraph(full, args.truncate)
+        order = sl2_order(args.cayley)
+        if args.truncate is not None and not 1 <= args.truncate <= order:
+            raise UsageError(f"--truncate must be in 1..{order} for modulus {args.cayley}")
+        g = CayleyCache(args.cache_dir).graph(args.cayley)
+        if args.truncate is not None:
+            g = induced_prefix_subgraph(g, args.truncate)
         source = f"cayley:{args.cayley}" + (
             f":truncate={args.truncate}" if args.truncate is not None else ""
         )
@@ -210,12 +214,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    plt = _matplotlib() if args.plot else None
     # an empty range (v-max < v-min) legitimately yields a header-only CSV
     rows = expansion_sweep(args.v_min, args.v_max, cache=CayleyCache(args.cache_dir))
     write_atomic(Path(args.out), sweep_to_csv(rows))
     outputs = [args.out]
-    if args.plot:
-        _plot_sweep(rows, args.plot)
+    if plt:
+        _plot_sweep(plt, rows, args.plot)
         outputs.append(args.plot)
     print(f"wrote {len(rows)} rows to {args.out}")
     _emit_manifest(args, outputs)
@@ -285,16 +290,6 @@ def cmd_rewire(args) -> int:
 
 
 def cmd_train(args) -> int:
-    structures = [s.strip() for s in args.structures.split(",") if s.strip()]
-    if not structures:
-        raise UsageError(f"expected a non-empty structure list, got {args.structures!r}")
-    for s in structures:
-        if s not in SUM_TASK_STRUCTURES:
-            raise UsageError(
-                f"unknown structure {s!r}; expected one of {SUM_TASK_STRUCTURES}"
-            )
-    seeds = _int_list(args.seeds, 0)
-    train_sizes = _int_list(args.train_sizes, 1)
     try:
         base_config = TrainConfig(
             learning_rate=args.learning_rate,
@@ -304,17 +299,18 @@ def cmd_train(args) -> int:
             num_layers=args.layers,
             layer_kind=args.layer_kind,
             scheme=args.scheme,
-            train_sizes=tuple(train_sizes),
+            train_sizes=tuple(args.train_sizes),
         )
     except ValueError as exc:
         raise UsageError(str(exc))
+    plt = _matplotlib() if args.plot else None
     cache = CayleyCache(args.cache_dir)
     builder = scheme_plan_builder(args.scheme, args.layers, cache=cache)
     all_rows, failed = [], []
-    for structure in structures:
-        for seed in seeds:
+    for structure in args.structures:
+        for seed in args.seeds:
             dataset = gen_sum_task(
-                structure, max(train_sizes), seed, test_size=args.test_size
+                structure, max(args.train_sizes), seed, test_size=args.test_size
             )
             config = dataclasses.replace(base_config, seed=seed)
             for row in train(builder, dataset, config):
@@ -328,8 +324,8 @@ def cmd_train(args) -> int:
     agg_path = Path(args.out).with_suffix(".agg.csv")
     write_atomic(agg_path, _aggregate_curve_csv(all_rows))
     outputs = [args.out, str(agg_path)]
-    if args.plot:
-        _plot_curves(all_rows, args.plot)
+    if plt:
+        _plot_curves(plt, all_rows, args.plot)
         outputs.append(args.plot)
     print(
         f"wrote {len(all_rows)} rows to {args.out} "
@@ -341,7 +337,7 @@ def cmd_train(args) -> int:
             f"train size {f['train_size']}",
             file=sys.stderr,
         )
-    _emit_manifest(args, outputs, seeds, extra={"failed_runs": failed})
+    _emit_manifest(args, outputs, args.seeds, extra={"failed_runs": failed})
     return EXIT_RUNTIME if failed else EXIT_OK
 
 
@@ -364,10 +360,9 @@ def _aggregate_curve_csv(rows) -> str:
 
 
 def cmd_bench(args) -> int:
-    sizes = _int_list(args.sizes, 1) if args.sizes else list(BENCH_DEFAULT_SIZES)
-    sizes = [n for n in sizes if n <= args.n_max]
     if args.n_max > BENCH_MAX_NODES:
         raise UsageError(f"--n-max is capped at {BENCH_MAX_NODES}")
+    sizes = [n for n in args.sizes if n <= args.n_max]
     if not sizes:
         raise UsageError("no benchmark sizes at or below --n-max")
     lines = ["n,seconds"]
@@ -405,8 +400,7 @@ def _matplotlib():
         raise InputError("matplotlib is required for --plot (install cayleyprop[plot])")
 
 
-def _plot_sweep(rows, path: str) -> None:
-    plt = _matplotlib()
+def _plot_sweep(plt, rows, path: str) -> None:
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(11, 4))
     vs = [r.v for r in rows]
     ax1.plot(vs, [r.cheeger_lower for r in rows], lw=1)
@@ -422,8 +416,7 @@ def _plot_sweep(rows, path: str) -> None:
     plt.close(fig)
 
 
-def _plot_curves(rows, path: str) -> None:
-    plt = _matplotlib()
+def _plot_curves(plt, rows, path: str) -> None:
     fig, ax = plt.subplots(figsize=(6, 4))
     groups: dict[str, dict[int, list[float]]] = {}
     for r in rows:
@@ -452,16 +445,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--cache-dir", default=None, help="keep Cayley graph files here")
+    def common(p, cache_dir=True):
+        if cache_dir:
+            p.add_argument("--cache-dir", default=None, help="keep Cayley graph files here")
         p.add_argument("--manifest", default=None, help="run-manifest output path")
 
     p = sub.add_parser("build-cayley", help="write a Cayley graph's edge list")
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--n", type=_int_from(2), help="modulus")
     target.add_argument("--nodes", type=_int_from(1), help="target node count")
-    p.add_argument("--out", default=None, help="write the edge list here")
-    common(p)
+    p.add_argument("--out", required=True, help="write the edge list here")
+    common(p, cache_dir=False)
     p.set_defaults(func=cmd_build_cayley)
 
     p = sub.add_parser("analyze", help="spectral report for a graph")
@@ -491,9 +485,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rewire)
 
     p = sub.add_parser("train", help="sum-task learning curves")
-    p.add_argument("--structures", default="Empty,Cayley24,Star,BA")
-    p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--train-sizes", default="20,40,60,100,200,300,400,500,1000,2000,4000")
+    # argparse parses a string default as if it were given.
+    p.add_argument("--structures", type=_list_of(_structure), default="Empty,Cayley24,Star,BA")
+    p.add_argument("--seeds", type=_list_of(_int_from(0)), default="0,1,2,3,4")
+    p.add_argument(
+        "--train-sizes",
+        type=_list_of(_int_from(1)),
+        default="20,40,60,100,200,300,400,500,1000,2000,4000",
+    )
     p.add_argument("--test-size", type=_int_from(1), default=200)
     p.add_argument("--epochs", type=int, default=60)
     p.add_argument("--batch-size", type=int, default=32)
@@ -508,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("bench", help="time CGP template construction on ER graphs")
-    p.add_argument("--sizes", default=None, help="comma-separated node counts")
+    p.add_argument("--sizes", type=_list_of(_int_from(1)), default=BENCH_DEFAULT_SIZES)
     p.add_argument("--n-max", type=int, default=10000)
     p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out", required=True)

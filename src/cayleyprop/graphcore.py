@@ -47,6 +47,13 @@ def _as_int(x, what: str, minimum: int | None = None) -> int:
     return x
 
 
+def _check_dense(n: int, what: str) -> None:
+    """Refuse what, a dense structure on n nodes, past DENSE_NODE_CAP; call it
+    before anything is allocated."""
+    if n > DENSE_NODE_CAP:
+        raise ValueError(f"{what} on {n} nodes exceeds the cap of {DENSE_NODE_CAP} nodes")
+
+
 class UGraph:
     """Immutable undirected graph on nodes 0..node_count-1."""
 
@@ -132,11 +139,7 @@ class UGraph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency of the ordinary edges; self-loops left out."""
-        if self.node_count > DENSE_NODE_CAP:
-            raise ValueError(
-                f"a dense matrix on {self.node_count} nodes exceeds the cap of "
-                f"{DENSE_NODE_CAP} nodes"
-            )
+        _check_dense(self.node_count, "a dense matrix")
         a = np.zeros((self.node_count, self.node_count))
         for u, v in self.edges:
             a[u, v] = 1.0

@@ -7,6 +7,8 @@ and usable as dict keys during graph construction.
 
 from __future__ import annotations
 
+from .graphcore import _as_int
+
 
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending."""
@@ -27,10 +29,9 @@ def sl2_order(n: int) -> int:
     """|SL(2, Z_n)| = n^3 * prod_{prime p | n} (1 - 1/p^2), evaluated exactly.
 
     The product is taken over the distinct primes dividing n; n = 1 gives the
-    trivial group.
+    trivial group. n is an integer >= 1 by the rule of _as_int.
     """
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
+    n = _as_int(n, "modulus", 1)
     order = n**3
     for p in prime_factors(n):
         # p^2 divides n^3 for every prime p | n, so this stays exact.
@@ -43,9 +44,9 @@ def generators(n: int) -> list[tuple[int, int, int, int]]:
 
     [[1,1],[0,1]], its inverse [[1,n-1],[0,1]], [[1,0],[1,1]] and its
     inverse [[1,0],[n-1,1]]. For n = 2 the +1 and -1 residues coincide and
-    the set collapses to two distinct elements.
+    the set collapses to two distinct elements. n is an integer >= 2 by the
+    rule of _as_int.
     """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
+    n = _as_int(n, "modulus", 2)
     candidates = [(1, 1, 0, 1), (1, n - 1, 0, 1), (1, 0, 1, 1), (1, 0, n - 1, 1)]
     return list(dict.fromkeys(candidates))

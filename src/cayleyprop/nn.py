@@ -34,9 +34,9 @@ import numpy as np
 
 from .cayley import CayleyCache, build_cayley
 from .graphcore import (
-    DENSE_NODE_CAP,
     UGraph,
     _as_int,
+    _check_dense,
     gen_ba_graphs,
     gen_graph,
     star_graph,
@@ -182,10 +182,14 @@ def init_params(
     """Glorot-scaled weights, small uniform biases, GIN eps at zero.
 
     Biases are nonzero on purpose: all-zero virtual-node features would
-    otherwise park their ReLU pre-activations exactly on the kink.
+    otherwise park their ReLU pre-activations exactly on the kink. in_dim,
+    hidden_dim and num_layers are integers >= 1 by the rule of _as_int.
     """
     if layer_kind not in LAYER_KINDS:
         raise ValueError(f"unknown layer kind {layer_kind!r}")
+    in_dim = _as_int(in_dim, "in_dim", 1)
+    hidden_dim = _as_int(hidden_dim, "hidden_dim", 1)
+    num_layers = _as_int(num_layers, "num_layers", 1)
 
     def glorot(fan_in, fan_out):
         scale = math.sqrt(2.0 / (fan_in + fan_out))
@@ -294,11 +298,7 @@ class _Run:
         (1, m, m), which np.matmul broadcasts over the stack."""
         g = graphs[0]
         m = g.node_count
-        if m > DENSE_NODE_CAP:
-            raise ValueError(
-                f"a dense layer operator on {m} nodes exceeds the cap of "
-                f"{DENSE_NODE_CAP} nodes"
-            )
+        _check_dense(m, "a dense layer operator")
         shared = len(graphs) > 1 and all(h is g for h in graphs)
         if shared:
             if (id(g), kind) in self._shared:
@@ -402,13 +402,6 @@ def _stack_layer_backward(i: int, dout, cache, ops, p, grads):
 # ---------------------------------------------------------------------------
 
 
-def readout(plan: PropagationPlan, params: ModelParams, h: np.ndarray) -> float:
-    """Sum the original-node rows and apply the linear head. Virtual rows
-    never enter the prediction."""
-    row_sum = h[: plan.original_count].sum(axis=0)
-    return float(row_sum @ params.readout_w + params.readout_b)
-
-
 def _stack_forward(
     plans: list[PropagationPlan], params: ModelParams, xs, run: _Run
 ) -> tuple:
@@ -436,9 +429,9 @@ def _stack_forward(
         h, cache = _stack_layer_forward(h, ops, layer)
         layers.append((ops, cache))
     sums = np.add.reduce(h[:, :rows], axis=1)
-    # One BLAS dot per sample, as readout's `@` makes: ndarray.dot reaches it
-    # in a third of the time, and a float add rounds as the float64 add does.
-    # A whole-stack gemv rounds differently.
+    # One BLAS dot per sample, as the oracle readout's `@` makes: ndarray.dot
+    # reaches it in a third of the time, and a float add rounds as the float64
+    # add does. A whole-stack gemv rounds differently.
     w, b = params.readout_w, float(params.readout_b)
     logits = [float(row_sum.dot(w)) + b for row_sum in sums]
     return h, sums, logits, layers

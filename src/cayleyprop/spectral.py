@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .cayley import CayleyCache, smallest_modulus
-from .graphcore import DENSE_NODE_CAP, UGraph, _as_int, induced_prefix_subgraph
+from .graphcore import UGraph, _as_int, _check_dense, induced_prefix_subgraph
 
 EIG_TOL = 1e-10
 ZERO_EIGENVALUE_CUTOFF = 1e-8
@@ -178,11 +178,7 @@ def diameter_bfs(g: UGraph) -> int | None:
     matrix product.
     """
     n = g.node_count
-    if n > DENSE_NODE_CAP:
-        raise ValueError(
-            f"an all-sources BFS on {n} nodes exceeds the cap of "
-            f"{DENSE_NODE_CAP} nodes"
-        )
+    _check_dense(n, "an all-sources BFS")
     if n == 0:
         return None
     adj = g.adj
@@ -300,10 +296,8 @@ def expansion_sweep(
     v_min = _as_int(v_min, "v_min", 2)
     v_max = _as_int(v_max, "v_max")
     # Fail before the first row, not after hours of rows below the cap.
-    if v_max >= v_min and v_max > DENSE_NODE_CAP:
-        raise ValueError(
-            f"v_max {v_max} exceeds the dense cap of {DENSE_NODE_CAP} nodes"
-        )
+    if v_max >= v_min:
+        _check_dense(v_max, "a sweep row")
     cache = cache or CayleyCache()
     rows = []
     for v in range(v_min, v_max + 1):

@@ -33,7 +33,6 @@ from cayleyprop.nn import (
     ADAM_EPS,
     ModelParams,
     _loss_and_dz,
-    readout,
 )
 from cayleyprop.propagation import PropagationPlan, extend_features
 from cayleyprop.spectral import laplacian
@@ -418,6 +417,13 @@ def _layer_backward(dout, cache, op, p):
     }
     dx = op @ (dpre @ p.w.T)
     return grads, dx
+
+
+def readout(plan: PropagationPlan, params: ModelParams, h: np.ndarray) -> float:
+    """Sum the original-node rows and apply the linear head. Virtual rows
+    never enter the prediction."""
+    row_sum = h[: plan.original_count].sum(axis=0)
+    return float(row_sum @ params.readout_w + params.readout_b)
 
 
 def _forward_cached(plan: PropagationPlan, params: ModelParams, x: np.ndarray):

@@ -24,7 +24,6 @@ from cayleyprop.nn import (
     gen_sum_task,
     init_params,
     model_forward,
-    readout,
     relu_kink_margin,
     scheme_plan_builder,
     train,
@@ -40,6 +39,7 @@ from oracles import (
     effective_resistance_pair,
     enumerate_sl2_bruteforce,
     is_connected,
+    readout,
     relabel_nodes,
     sample_gradients,
 )

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -8,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import cayleyprop
-from cayleyprop import spectral
+from cayleyprop import cli, spectral
 from cayleyprop.cayley import CayleyCache, build_cayley
-from cayleyprop.cli import main
+from cayleyprop.cli import build_parser, main
 from cayleyprop.graphcore import (
     DENSE_NODE_CAP,
     UGraph,
@@ -32,23 +34,29 @@ def run(args, capsys):
 
 
 class TestExitCodes:
-    def test_usage_error_missing_args(self, capsys, cache_dir):
-        code, _, err = run(["build-cayley", "--cache-dir", cache_dir], capsys)
+    def test_usage_error_missing_args(self, capsys, tmp_path):
+        code, _, err = run(["build-cayley", "--out", str(tmp_path / "c.edgelist")], capsys)
         assert code == 1
+        assert "one of the arguments --n --nodes is required" in err
+        assert list(tmp_path.iterdir()) == []
 
-    def test_usage_error_both_args(self, capsys, cache_dir):
-        code, _, _ = run(
-            ["build-cayley", "--n", "3", "--nodes", "5", "--cache-dir", cache_dir],
+    def test_usage_error_both_args(self, capsys, tmp_path):
+        code, _, err = run(
+            ["build-cayley", "--n", "3", "--nodes", "5", "--out", str(tmp_path / "c.edgelist")],
             capsys,
         )
         assert code == 1
+        assert "not allowed with argument" in err
+        assert list(tmp_path.iterdir()) == []
 
-    def test_usage_error_nodes_zero(self, capsys, cache_dir):
+    def test_usage_error_nodes_zero(self, capsys, tmp_path):
         code, _, err = run(
-            ["build-cayley", "--nodes", "0", "--cache-dir", cache_dir], capsys
+            ["build-cayley", "--nodes", "0", "--out", str(tmp_path / "c.edgelist")], capsys
         )
         assert code == 1
         assert "usage" in err.lower()
+        assert "argument --nodes: must be >= 1, got 0" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_input_error_missing_file(self, capsys, tmp_path):
         code, _, err = run(["analyze", str(tmp_path / "nope.edgelist")], capsys)
@@ -112,6 +120,54 @@ class TestExitCodes:
         code, _, err = run(argv + ["--cache-dir", cache_dir], capsys)
         assert code == expected, err
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (TRAIN + ["--seeds", "0,x"], "--seeds"),
+            (TRAIN + ["--seeds", "0,-1"], "--seeds"),
+            (TRAIN + ["--train-sizes", "20,0"], "--train-sizes"),
+            (TRAIN + ["--structures", "Empty,Mesh"], "--structures"),
+            (TRAIN + ["--structures", ","], "--structures"),
+            (BENCH + ["--sizes", "0,10"], "--sizes"),
+            (BENCH + ["--sizes", "10,x"], "--sizes"),
+        ],
+        ids=["seeds-not-integers", "seeds-negative", "train-sizes-zero",
+             "structures-unknown", "structures-empty", "bench-sizes-zero",
+             "bench-sizes-not-integers"],
+    )
+    def test_a_bad_list_item_is_refused_by_the_parser(
+        self, argv, option, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert f"error: argument {option}: " in err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["sweep", "--v-min", "6", "--v-max", "7", "--out", "s.csv",
+              "--plot", "s.svg"], "expansion_sweep"),
+            (TRAIN + ["--plot", "c.svg"], "train"),
+        ],
+        ids=["sweep", "train"],
+    )
+    def test_plot_without_matplotlib_fails_before_any_work(
+        self, argv, work, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setitem(sys.modules, "matplotlib", None)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(cli, work, no_work)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "cayleyprop[plot]" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
     def test_plot_without_matplotlib_is_input_error(self, capsys, tmp_path, monkeypatch):
         # a None entry in sys.modules makes `import matplotlib` raise
         # ImportError, whether or not matplotlib is installed
@@ -137,7 +193,7 @@ class TestExitCodes:
 
 
 class TestBuildCayley:
-    def test_by_modulus(self, capsys, cache_dir, tmp_path):
+    def test_by_modulus(self, capsys, tmp_path):
         out_file = tmp_path / "c3.edgelist"
         code, out, _ = run(
             [
@@ -146,77 +202,34 @@ class TestBuildCayley:
                 "3",
                 "--out",
                 str(out_file),
-                "--cache-dir",
-                cache_dir,
                 "--manifest",
                 str(tmp_path / "m.json"),
             ],
             capsys,
         )
         assert code == 0
-        assert out == (
-            "modulus=3 nodes=24 edges=48 degree=4 "
-            f"cache={Path(cache_dir) / 'cayley-n3-v24.edgelist'}\n"
-        )
+        assert out == "modulus=3 nodes=24 edges=48 degree=4\n"
         g = parse_edge_list(out_file.read_text())
         assert g.node_count == 24
         manifest = json.loads((tmp_path / "m.json").read_text())
         assert manifest["command"] == "build-cayley"
+        assert manifest["outputs"] == [str(out_file)]
 
-    def test_irregular_cache_file_is_runtime_error(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        (cache / "cayley-n5-v120.edgelist").write_text("120\n0 1\n")
-        code, _, err = run(
-            [
-                "build-cayley",
-                "--n",
-                "5",
-                "--cache-dir",
-                str(cache),
-                "--manifest",
-                str(tmp_path / "m.json"),
-            ],
-            capsys,
-        )
-        assert code == 3
-        assert "corrupt cache file" in err
-
-    def test_unparsable_cache_file_is_runtime_error(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        path = cache / "cayley-n5-v120.edgelist"
-        path.write_text("120\n0 1\n0 x\n")
-        code, _, err = run(
-            [
-                "build-cayley",
-                "--n",
-                "5",
-                "--cache-dir",
-                str(cache),
-                "--manifest",
-                str(tmp_path / "m.json"),
-            ],
-            capsys,
-        )
-        assert code == 3
-        assert f"corrupt cache file {path}: line 3: non-integer ids" in err
-
-    def test_by_target_nodes(self, capsys, cache_dir, tmp_path):
+    def test_by_target_nodes(self, capsys, tmp_path):
         code, out, _ = run(
             [
                 "build-cayley",
                 "--nodes",
                 "24",
-                "--cache-dir",
-                cache_dir,
+                "--out",
+                str(tmp_path / "c3.edgelist"),
                 "--manifest",
                 str(tmp_path / "m.json"),
             ],
             capsys,
         )
         assert code == 0
-        assert "modulus=3" in out
+        assert out == "modulus=3 nodes=24 edges=48 degree=4\n"
 
     def test_without_a_cache_dir_writes_only_the_edge_list(
         self, capsys, tmp_path, monkeypatch
@@ -232,11 +245,17 @@ class TestBuildCayley:
         manifest = json.loads((tmp_path / "c3.edgelist.manifest.json").read_text())
         assert manifest["outputs"] == ["c3.edgelist"]
 
-    def test_nothing_to_write_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [["--cache-dir", "d"], ["--out", "c.edgelist", "--cache-dir", "d"]],
+        ids=["without-out", "with-out"],
+    )
+    def test_cache_dir_is_not_an_option(self, argv, capsys, tmp_path, monkeypatch):
+        # build-cayley writes its edge list to --out and nowhere else.
         monkeypatch.chdir(tmp_path)
-        code, out, err = run(["build-cayley", "--n", "3"], capsys)
+        code, out, err = run(["build-cayley", "--n", "3"] + argv, capsys)
         assert code == 1
-        assert err == "usage error: build-cayley writes nothing without --out or --cache-dir\n"
+        assert ("required: --out" if "--out" not in argv else "unrecognized") in err
         assert out == "" and list(tmp_path.iterdir()) == []
 
 
@@ -290,6 +309,44 @@ class TestAnalyze:
         code, out, _ = run(["analyze", str(path)], capsys)
         assert code == 0
         assert json.loads(out)["diameter"] == "disconnected"
+
+    def test_truncate_is_checked_before_the_group_is_built(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_group(*args):
+            raise AssertionError("built the group")
+
+        monkeypatch.setattr(cli, "CayleyCache", no_group)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["analyze", "--cayley", "2", "--truncate", "7"], capsys)
+        assert code == 1
+        assert err == "usage error: --truncate must be in 1..6 for modulus 2\n"
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    def test_irregular_cache_file_is_runtime_error(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "cayley-n5-v120.edgelist").write_text("120\n0 1\n")
+        code, _, err = run(
+            ["analyze", "--cayley", "5", "--cache-dir", str(cache),
+             "--manifest", str(tmp_path / "m.json")],
+            capsys,
+        )
+        assert code == 3
+        assert "corrupt cache file" in err
+
+    def test_unparsable_cache_file_is_runtime_error(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / "cayley-n5-v120.edgelist"
+        path.write_text("120\n0 1\n0 x\n")
+        code, _, err = run(
+            ["analyze", "--cayley", "5", "--cache-dir", str(cache),
+             "--manifest", str(tmp_path / "m.json")],
+            capsys,
+        )
+        assert code == 3
+        assert f"corrupt cache file {path}: line 3: non-integer ids" in err
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -786,8 +843,8 @@ class TestWithoutCacheDir:
     """Without --cache-dir no command reads or writes a Cayley graph file."""
 
     def run_every_command(self, capsys, monkeypatch, work):
-        """Run each command that takes --cache-dir, without it, in work;
-        return the bytes of every output file but the timed ones."""
+        """Run each command, none with --cache-dir, in work; return the
+        bytes of every output file but the timed ones."""
         work.mkdir()
         g = gen_graph("BA", 20, 7, m=2)
         (work / "g.edgelist").write_text(emit_edge_list(g))
@@ -840,3 +897,33 @@ class TestWithoutCacheDir:
         clean = self.run_every_command(capsys, monkeypatch, tmp_path / "clean")
         assert with_file == clean
         assert "rewired/g.cayley.edgelist" in clean
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The arguments of every `cayleyprop ...` line in the README's CLI code
+    block, with backslash continuations joined and comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```bash\n(.*?)^```", readme, re.M | re.S).group(1)
+    examples = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv:
+            assert argv[0] == "cayleyprop", line
+            examples.append(argv[1:])
+    return examples
+
+
+def test_every_readme_cli_example_parses(capsys):
+    examples = readme_cli_examples()
+    assert {argv[0] for argv in examples} == {
+        "build-cayley", "analyze", "sweep", "rewire", "train", "bench"
+    }
+    parser = build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(
+                f"README example `cayleyprop {shlex.join(argv)}` does not parse:\n"
+                f"{capsys.readouterr().err}"
+            )

@@ -26,7 +26,6 @@ from cayleyprop.nn import (
     init_params,
     loss_and_grads,
     model_forward,
-    readout,
     relu_kink_margin,
     scheme_plan_builder,
     train,
@@ -37,6 +36,7 @@ from oracles import (
     _forward_cached,
     int_refusal,
     layer_forward,
+    readout,
     relabel_nodes,
     sample_gradients,
     zero_grads,

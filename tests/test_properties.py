@@ -27,6 +27,7 @@ from cayleyprop.graphcore import (
     induced_prefix_subgraph,
     star_graph,
 )
+from cayleyprop.modgroup import generators, sl2_order
 from cayleyprop.nn import LAYER_KINDS, STACK_SAMPLES, TrainConfig, gen_sum_task
 from cayleyprop.propagation import build_plan, extend_input_adjacency
 from cayleyprop.spectral import analyze, diameter_bfs, expansion_sweep
@@ -179,6 +180,15 @@ CAYLEY_GRAPHS = types.SimpleNamespace(
 )
 CAYLEY_3 = CAYLEY_GRAPHS.graph(3)
 SEED_MAX = 2**64 - 1
+
+
+def init_params_with(**dims):
+    """nn.init_params on a fresh generator, with dims in place of its
+    in_dim 2, hidden_dim 3 and num_layers 1."""
+    dims = {"in_dim": 2, "hidden_dim": 3, "num_layers": 1, **dims}
+    return nn.init_params(np.random.default_rng(0), "gin", **dims)
+
+
 INT_ARGUMENTS = {
     "UGraph-node_count": ("node_count", 0, 30, UGraph),
     "gen_graph-n": ("node count", 1, 30, lambda x: gen_graph("BA", x, 3, m=2)),
@@ -196,6 +206,8 @@ INT_ARGUMENTS = {
     "induced_prefix_subgraph-v": (
         "prefix size", 1, 24, lambda x: induced_prefix_subgraph(CAYLEY_3, x)
     ),
+    "sl2_order-n": ("modulus", 1, 10**6, sl2_order),
+    "generators-n": ("modulus", 2, 10**6, generators),
     "build_cayley-n": ("modulus", 2, 5, build_cayley),
     "smallest_modulus-v": ("target node count", 1, 10**6, smallest_modulus),
     "build_plan-num_layers": (
@@ -218,6 +230,13 @@ INT_ARGUMENTS = {
     ),
     "gen_sum_task-test_size": (
         "test_size", 0, 4, lambda x: gen_sum_task("BA", 1, 0, test_size=x)
+    ),
+    "init_params-in_dim": ("in_dim", 1, 30, lambda x: init_params_with(in_dim=x)),
+    "init_params-hidden_dim": (
+        "hidden_dim", 1, 30, lambda x: init_params_with(hidden_dim=x)
+    ),
+    "init_params-num_layers": (
+        "num_layers", 1, 6, lambda x: init_params_with(num_layers=x)
     ),
     "TrainConfig-seed": ("seed", 0, SEED_MAX, lambda x: TrainConfig(seed=x)),
     "TrainConfig-epochs": ("epochs", 1, 1000, lambda x: TrainConfig(epochs=x)),
