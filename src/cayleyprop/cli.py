@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 input error, 3 runtime failure.
 Each option is checked once, before the command does any work: by its
 argparse type, or at the top of the command when the check spans options;
---plot loads matplotlib first. Every run emits a JSON manifest describing
-the resolved configuration, so outputs can be reproduced byte for byte
-(timings aside).
+--plot loads matplotlib first. Cayley graphs are built in memory, once per
+modulus per run; only sweep --cache-dir also keeps them as files. Every run
+emits a JSON manifest describing the resolved configuration, so outputs can
+be reproduced byte for byte (timings aside).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from . import BLAS_THREAD_VARS, __version__
 from .cayley import CayleyCache, build_cayley, smallest_modulus, write_atomic
 from .graphcore import (
     EdgeListParseError,
+    _check_dense,
     emit_edge_list,
     gen_graph,
     induced_prefix_subgraph,
@@ -126,13 +128,15 @@ def _blas_core() -> str | None:
     return None
 
 
-def _int_from(minimum: int):
-    """argparse type: an integer no smaller than minimum."""
+def _int_from(minimum: int, maximum: int | None = None):
+    """argparse type: an integer in minimum..maximum (no upper bound if None)."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -149,13 +153,15 @@ def _structure(text: str) -> str:
 
 
 def _list_of(item):
-    """argparse type: a non-empty comma-separated list, each entry parsed by
-    item, another argparse type."""
+    """argparse type: a non-empty comma-separated list of distinct entries,
+    each parsed by item, another argparse type."""
 
     def parse(text: str) -> list:
         values = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
         if not values:
             raise argparse.ArgumentTypeError(f"expected a non-empty list, got {text!r}")
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"expected distinct items, got {text!r}")
         return values
 
     parse.__name__ = f"{item.__name__} list"  # "invalid int list value"
@@ -186,12 +192,12 @@ def cmd_analyze(args) -> int:
         order = sl2_order(args.cayley)
         if args.truncate is not None and not 1 <= args.truncate <= order:
             raise UsageError(f"--truncate must be in 1..{order} for modulus {args.cayley}")
-        g = CayleyCache(args.cache_dir).graph(args.cayley)
+        _check_dense(order if args.truncate is None else args.truncate, "a dense matrix")
+        g = build_cayley(args.cayley).graph
+        source = f"cayley:{args.cayley}"
         if args.truncate is not None:
             g = induced_prefix_subgraph(g, args.truncate)
-        source = f"cayley:{args.cayley}" + (
-            f":truncate={args.truncate}" if args.truncate is not None else ""
-        )
+            source += f":truncate={args.truncate}"
     else:
         path = Path(args.graph)
         if not path.is_file():
@@ -202,11 +208,9 @@ def cmd_analyze(args) -> int:
         source = str(path)
     report = analyze(g).to_json_dict()
     report["source"] = source
-    outputs = []
     if args.out:
         write_atomic(Path(args.out), json.dumps(report, indent=2) + "\n")
-        outputs.append(args.out)
-        _emit_manifest(args, outputs)
+        _emit_manifest(args, [args.out])
     else:
         report["manifest"] = _emit_manifest(args, [])
         print(json.dumps(report, indent=2))
@@ -240,7 +244,7 @@ def cmd_rewire(args) -> int:
         raise InputError(
             f"bad dataset manifest {manifest_path}: graphs must be a list of objects"
         )
-    cache = CayleyCache(args.cache_dir)
+    cache = CayleyCache()
     out_dir = Path(args.out_dir)
     results, failures = [], []
     # The run writes summary.json and, by default, summary.json.manifest.json.
@@ -304,8 +308,7 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     plt = _matplotlib() if args.plot else None
-    cache = CayleyCache(args.cache_dir)
-    builder = scheme_plan_builder(args.scheme, args.layers, cache=cache)
+    builder = scheme_plan_builder(args.scheme, args.layers)
     all_rows, failed = [], []
     for structure in args.structures:
         for seed in args.seeds:
@@ -360,14 +363,9 @@ def _aggregate_curve_csv(rows) -> str:
 
 
 def cmd_bench(args) -> int:
-    if args.n_max > BENCH_MAX_NODES:
-        raise UsageError(f"--n-max is capped at {BENCH_MAX_NODES}")
-    sizes = [n for n in args.sizes if n <= args.n_max]
-    if not sizes:
-        raise UsageError("no benchmark sizes at or below --n-max")
     lines = ["n,seconds"]
-    cache = CayleyCache(args.cache_dir)
-    for n in sizes:
+    cache = CayleyCache()
+    for n in args.sizes:
         p = 5.0 * np.log(n) / n if n > 1 else 0.0
         g = gen_graph("ER", n, args.seed, p=min(p, 1.0))
         t0 = time.perf_counter()
@@ -445,9 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cache_dir=True):
-        if cache_dir:
-            p.add_argument("--cache-dir", default=None, help="keep Cayley graph files here")
+    def common(p):
         p.add_argument("--manifest", default=None, help="run-manifest output path")
 
     p = sub.add_parser("build-cayley", help="write a Cayley graph's edge list")
@@ -455,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--n", type=_int_from(2), help="modulus")
     target.add_argument("--nodes", type=_int_from(1), help="target node count")
     p.add_argument("--out", required=True, help="write the edge list here")
-    common(p, cache_dir=False)
+    common(p)
     p.set_defaults(func=cmd_build_cayley)
 
     p = sub.add_parser("analyze", help="spectral report for a graph")
@@ -473,6 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-max", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--plot", default=None, help="optional SVG chart")
+    # Kept for perfbench/test_perfbench.py::test_per_row_sweep_matches_the_cli.
+    p.add_argument("--cache-dir", default=None, help="keep Cayley graph files here")
     common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -507,8 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("bench", help="time CGP template construction on ER graphs")
-    p.add_argument("--sizes", type=_list_of(_int_from(1)), default=BENCH_DEFAULT_SIZES)
-    p.add_argument("--n-max", type=int, default=10000)
+    p.add_argument(
+        "--sizes", type=_list_of(_int_from(1, BENCH_MAX_NODES)), default=BENCH_DEFAULT_SIZES
+    )
     p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out", required=True)
     common(p)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cayleyprop
-from cayleyprop import cli, spectral
+from cayleyprop import cayley, cli, spectral
 from cayleyprop.cayley import CayleyCache, build_cayley
 from cayleyprop.cli import build_parser, main
 from cayleyprop.graphcore import (
@@ -95,7 +96,7 @@ class TestExitCodes:
             (TRAIN + ["--structures", ","], 1),
             (BENCH + ["--sizes", "0,10"], 1),
             (BENCH + ["--seed=-1"], 1),
-            (BENCH + ["--n-max", "5"], 1),
+            (BENCH + ["--sizes", "50001"], 1),
             (["analyze", "empty.edgelist", "--truncate", "3"], 1),
             (["analyze", "--cayley", "2", "--truncate", "7"], 1),
             (["analyze", "empty.edgelist"], 2),
@@ -106,18 +107,18 @@ class TestExitCodes:
         ids=["test-size", "train-sizes", "epochs", "batch-size", "hidden",
              "learning-rate", "learning-rate-nan", "learning-rate-inf", "seeds",
              "seeds-not-integers", "structures-empty", "bench-sizes", "bench-seed",
-             "bench-no-size-under-n-max", "truncate-without-cayley",
+             "bench-size-over-the-cap", "truncate-without-cayley",
              "truncate-past-group-order", "empty-graph", "graphs-not-a-list",
              "missing-manifest", "unparsable-manifest"],
     )
     def test_bad_values_exit_with_documented_code(
-        self, argv, expected, capsys, cache_dir, tmp_path, monkeypatch
+        self, argv, expected, capsys, tmp_path, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty.edgelist").write_text("0\n")
         (tmp_path / "dataset.json").write_text(json.dumps({"graphs": {"a": "x"}}))
         (tmp_path / "torn.json").write_text('{"graphs": [')
-        code, _, err = run(argv + ["--cache-dir", cache_dir], capsys)
+        code, _, err = run(argv, capsys)
         assert code == expected, err
 
     @pytest.mark.parametrize(
@@ -130,10 +131,15 @@ class TestExitCodes:
             (TRAIN + ["--structures", ","], "--structures"),
             (BENCH + ["--sizes", "0,10"], "--sizes"),
             (BENCH + ["--sizes", "10,x"], "--sizes"),
+            (TRAIN + ["--seeds", "0,0"], "--seeds"),
+            (TRAIN + ["--train-sizes", "20,20"], "--train-sizes"),
+            (TRAIN + ["--structures", "Empty,Empty"], "--structures"),
+            (BENCH + ["--sizes", "10,10"], "--sizes"),
         ],
         ids=["seeds-not-integers", "seeds-negative", "train-sizes-zero",
              "structures-unknown", "structures-empty", "bench-sizes-zero",
-             "bench-sizes-not-integers"],
+             "bench-sizes-not-integers", "seeds-repeated", "train-sizes-repeated",
+             "structures-repeated", "bench-sizes-repeated"],
     )
     def test_a_bad_list_item_is_refused_by_the_parser(
         self, argv, option, capsys, tmp_path, monkeypatch
@@ -192,6 +198,9 @@ class TestExitCodes:
         assert str(DENSE_NODE_CAP + 1) in err and str(DENSE_NODE_CAP) in err
 
 
+UNRECOGNIZED = "unrecognized arguments: --cache-dir=d"
+
+
 class TestBuildCayley:
     def test_by_modulus(self, capsys, tmp_path):
         out_file = tmp_path / "c3.edgelist"
@@ -246,17 +255,37 @@ class TestBuildCayley:
         assert manifest["outputs"] == ["c3.edgelist"]
 
     @pytest.mark.parametrize(
-        "argv",
-        [["--cache-dir", "d"], ["--out", "c.edgelist", "--cache-dir", "d"]],
-        ids=["without-out", "with-out"],
+        "argv, message",
+        [
+            (["build-cayley", "--n", "3"], "required: --out"),
+            (["build-cayley", "--n", "3", "--out", "c.edgelist"], UNRECOGNIZED),
+            (["analyze", "--cayley", "3"], UNRECOGNIZED),
+            (["rewire", "dataset.json", "--out-dir", "rewired"], UNRECOGNIZED),
+            (TestExitCodes.TRAIN, UNRECOGNIZED),
+            (TestExitCodes.BENCH, UNRECOGNIZED),
+        ],
+        ids=["without-out", "with-out", "analyze", "rewire", "train", "bench"],
     )
-    def test_cache_dir_is_not_an_option(self, argv, capsys, tmp_path, monkeypatch):
-        # build-cayley writes its edge list to --out and nowhere else.
+    def test_cache_dir_is_not_an_option(self, argv, message, capsys, tmp_path, monkeypatch):
+        # Only sweep takes --cache-dir; every other command builds its Cayley
+        # graphs in memory and writes only its outputs. Given as one token, so
+        # that analyze cannot take "d" for its graph file.
         monkeypatch.chdir(tmp_path)
-        code, out, err = run(["build-cayley", "--n", "3"] + argv, capsys)
+        code, out, err = run(argv + ["--cache-dir=d"], capsys)
         assert code == 1
-        assert ("required: --out" if "--out" not in argv else "unrecognized") in err
+        assert message in err
         assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def forbid_group_builds(monkeypatch):
+    """Make building a Cayley group fail, whether the CLI calls build_cayley
+    itself or through a CayleyCache."""
+
+    def no_group(*args):
+        raise AssertionError("built the group")
+
+    monkeypatch.setattr(cli, "build_cayley", no_group)
+    monkeypatch.setattr(cayley, "build_cayley", no_group)
 
 
 class TestAnalyze:
@@ -313,40 +342,33 @@ class TestAnalyze:
     def test_truncate_is_checked_before_the_group_is_built(
         self, capsys, tmp_path, monkeypatch
     ):
-        def no_group(*args):
-            raise AssertionError("built the group")
-
-        monkeypatch.setattr(cli, "CayleyCache", no_group)
+        forbid_group_builds(monkeypatch)
         monkeypatch.chdir(tmp_path)
         code, out, err = run(["analyze", "--cayley", "2", "--truncate", "7"], capsys)
         assert code == 1
         assert err == "usage error: --truncate must be in 1..6 for modulus 2\n"
         assert out == "" and list(tmp_path.iterdir()) == []
 
-    def test_irregular_cache_file_is_runtime_error(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        (cache / "cayley-n5-v120.edgelist").write_text("120\n0 1\n")
-        code, _, err = run(
-            ["analyze", "--cayley", "5", "--cache-dir", str(cache),
-             "--manifest", str(tmp_path / "m.json")],
-            capsys,
-        )
+    @pytest.mark.parametrize(
+        "argv, nodes",
+        [
+            (["--cayley", "23"], 12144),
+            (["--cayley", "23", "--truncate", str(DENSE_NODE_CAP + 1)], DENSE_NODE_CAP + 1),
+        ],
+        ids=["whole-group", "truncated"],
+    )
+    def test_dense_cap_is_checked_before_the_group_is_built(
+        self, argv, nodes, capsys, tmp_path, monkeypatch
+    ):
+        forbid_group_builds(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["analyze"] + argv, capsys)
         assert code == 3
-        assert "corrupt cache file" in err
-
-    def test_unparsable_cache_file_is_runtime_error(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        path = cache / "cayley-n5-v120.edgelist"
-        path.write_text("120\n0 1\n0 x\n")
-        code, _, err = run(
-            ["analyze", "--cayley", "5", "--cache-dir", str(cache),
-             "--manifest", str(tmp_path / "m.json")],
-            capsys,
+        assert err == (
+            f"error: ValueError: a dense matrix on {nodes} nodes exceeds the cap of "
+            f"{DENSE_NODE_CAP} nodes\n"
         )
-        assert code == 3
-        assert f"corrupt cache file {path}: line 3: non-integer ids" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -489,7 +511,7 @@ class TestRewire:
         manifest.write_text(json.dumps({"graphs": graphs}))
         return manifest
 
-    def test_cgp_export(self, capsys, cache_dir, tmp_path):
+    def test_cgp_export(self, capsys, tmp_path):
         manifest = self._write_dataset(tmp_path, [20, 24])
         out_dir = tmp_path / "out"
         code, out, _ = run(
@@ -500,8 +522,6 @@ class TestRewire:
                 "CGP",
                 "--out-dir",
                 str(out_dir),
-                "--cache-dir",
-                cache_dir,
                 "--manifest",
                 str(tmp_path / "m.json"),
             ],
@@ -516,7 +536,7 @@ class TestRewire:
         g0 = json.loads((out_dir / "g0.json").read_text())
         assert g0["extended_count"] == 24
 
-    def test_egp_never_pads(self, capsys, cache_dir, tmp_path):
+    def test_egp_never_pads(self, capsys, tmp_path):
         manifest = self._write_dataset(tmp_path, [20, 10])
         out_dir = tmp_path / "out"
         code, _, _ = run(
@@ -527,8 +547,6 @@ class TestRewire:
                 "EGP",
                 "--out-dir",
                 str(out_dir),
-                "--cache-dir",
-                cache_dir,
                 "--manifest",
                 str(tmp_path / "m.json"),
             ],
@@ -541,7 +559,7 @@ class TestRewire:
             g["extended_count"] == g["original_count"] for g in summary["graphs"]
         )
 
-    def test_partial_failure_nonzero_exit(self, capsys, cache_dir, tmp_path):
+    def test_partial_failure_nonzero_exit(self, capsys, tmp_path):
         manifest = self._write_dataset(tmp_path, [10])
         data = json.loads(manifest.read_text())
         data["graphs"].append({"name": "ghost", "graph": "missing.edgelist"})
@@ -555,8 +573,6 @@ class TestRewire:
                 "CGP",
                 "--out-dir",
                 str(out_dir),
-                "--cache-dir",
-                cache_dir,
                 "--manifest",
                 str(tmp_path / "m.json"),
             ],
@@ -567,7 +583,7 @@ class TestRewire:
         assert len(summary["failures"]) == 1
         assert len(summary["graphs"]) == 1  # the good graph still exported
 
-    def _rewire_with_extra_entries(self, capsys, cache_dir, tmp_path, extra):
+    def _rewire_with_extra_entries(self, capsys, tmp_path, extra):
         work = tmp_path / "work"
         work.mkdir()
         manifest = self._write_dataset(work, [10])
@@ -577,7 +593,7 @@ class TestRewire:
         out_dir = work / "out"
         code, _, _ = run(
             ["rewire", str(manifest), "--scheme", "CGP", "--out-dir", str(out_dir),
-             "--cache-dir", cache_dir, "--manifest", str(tmp_path / "m.json")],
+             "--manifest", str(tmp_path / "m.json")],
             capsys,
         )
         return code, json.loads((out_dir / "summary.json").read_text()), out_dir
@@ -586,11 +602,11 @@ class TestRewire:
         "name", ["../escaped", "out/../../escaped", "sub/escaped", "ABSOLUTE", "",
                  ".", "..", 5, None]
     )
-    def test_name_must_be_a_plain_file_name(self, capsys, cache_dir, tmp_path, name):
+    def test_name_must_be_a_plain_file_name(self, capsys, tmp_path, name):
         if name == "ABSOLUTE":
             name = str(tmp_path / "escaped")
         code, summary, out_dir = self._rewire_with_extra_entries(
-            capsys, cache_dir, tmp_path, [{"name": name, "graph": "g0.edgelist"}]
+            capsys, tmp_path, [{"name": name, "graph": "g0.edgelist"}]
         )
         assert code == 2
         assert [f["name"] for f in summary["failures"]] == [name]
@@ -601,10 +617,10 @@ class TestRewire:
 
     @pytest.mark.parametrize("graph", [5, None, ["g0.edgelist"]])
     def test_non_string_graph_is_a_recorded_failure(
-        self, capsys, cache_dir, tmp_path, graph
+        self, capsys, tmp_path, graph
     ):
         code, summary, out_dir = self._rewire_with_extra_entries(
-            capsys, cache_dir, tmp_path, [{"name": "bad", "graph": graph}]
+            capsys, tmp_path, [{"name": "bad", "graph": graph}]
         )
         assert code == 2
         assert [f["name"] for f in summary["failures"]] == ["bad"]
@@ -613,7 +629,7 @@ class TestRewire:
         assert (out_dir / "g0.json").is_file()
         assert not (out_dir / "bad.json").exists()
 
-    def test_repeated_name_is_a_recorded_failure(self, capsys, cache_dir, tmp_path):
+    def test_repeated_name_is_a_recorded_failure(self, capsys, tmp_path):
         manifest = self._write_dataset(tmp_path, [10, 12])
         data = json.loads(manifest.read_text())
         data["graphs"][1]["name"] = "g0"
@@ -621,7 +637,7 @@ class TestRewire:
         out_dir = tmp_path / "out"
         code, out, _ = run(
             ["rewire", str(manifest), "--out-dir", str(out_dir),
-             "--cache-dir", cache_dir, "--manifest", str(tmp_path / "m.json")],
+             "--manifest", str(tmp_path / "m.json")],
             capsys,
         )
         assert code == 2
@@ -637,7 +653,7 @@ class TestRewire:
         ]
 
     @pytest.mark.parametrize("name", ["summary", "summary.json.manifest"])
-    def test_summary_names_are_reserved(self, capsys, cache_dir, tmp_path, name):
+    def test_summary_names_are_reserved(self, capsys, tmp_path, name):
         manifest = self._write_dataset(tmp_path, [10])
         data = json.loads(manifest.read_text())
         data["graphs"].append({"name": name, "graph": "g0.edgelist"})
@@ -645,7 +661,7 @@ class TestRewire:
         out_dir = tmp_path / "out"
         # No --manifest: the run's manifest goes to out/summary.json.manifest.json.
         code, _, _ = run(
-            ["rewire", str(manifest), "--out-dir", str(out_dir), "--cache-dir", cache_dir],
+            ["rewire", str(manifest), "--out-dir", str(out_dir)],
             capsys,
         )
         assert code == 2
@@ -658,7 +674,7 @@ class TestRewire:
 
 
 class TestTrainCommand:
-    def test_smoke_run_within_budget(self, capsys, cache_dir, tmp_path):
+    def test_smoke_run_within_budget(self, capsys, tmp_path):
         import time
 
         out_file = tmp_path / "curves.csv"
@@ -680,8 +696,6 @@ class TestTrainCommand:
                 "32",
                 "--out",
                 str(out_file),
-                "--cache-dir",
-                cache_dir,
                 "--manifest",
                 str(tmp_path / "m.json"),
             ],
@@ -699,7 +713,7 @@ class TestTrainCommand:
         assert manifest["seeds"] == [0]
         assert manifest["failed_runs"] == []
 
-    def test_reproducible_bytes(self, capsys, cache_dir, tmp_path):
+    def test_reproducible_bytes(self, capsys, tmp_path):
         blobs = []
         for name in ("r1.csv", "r2.csv"):
             run(
@@ -719,8 +733,6 @@ class TestTrainCommand:
                     "8",
                     "--out",
                     str(tmp_path / name),
-                    "--cache-dir",
-                    cache_dir,
                     "--manifest",
                     str(tmp_path / "m.json"),
                 ],
@@ -730,7 +742,7 @@ class TestTrainCommand:
         assert blobs[0] == blobs[1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_run_is_listed_as_failed(self, capsys, cache_dir, tmp_path):
+    def test_overflowing_run_is_listed_as_failed(self, capsys, tmp_path):
         # One Adam step at this rate leaves finite parameters whose logits
         # overflow; the run must not be reported as a curve row, and a
         # command with a failed run exits 3 after writing its outputs.
@@ -738,7 +750,7 @@ class TestTrainCommand:
         code, out, err = run(
             ["train", "--structures", "Empty", "--seeds", "0", "--train-sizes", "20",
              "--test-size", "5", "--epochs", "1", "--learning-rate", "1e300",
-             "--out", str(out_file), "--cache-dir", cache_dir,
+             "--out", str(out_file),
              "--manifest", str(tmp_path / "m.json")],
             capsys,
         )
@@ -751,7 +763,7 @@ class TestTrainCommand:
             {"structure": "Empty", "seed": 0, "train_size": 20}
         ]
 
-    def test_bad_structure_usage_error(self, capsys, cache_dir, tmp_path):
+    def test_bad_structure_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
             [
                 "train",
@@ -759,8 +771,6 @@ class TestTrainCommand:
                 "Mesh",
                 "--out",
                 str(tmp_path / "x.csv"),
-                "--cache-dir",
-                cache_dir,
             ],
             capsys,
         )
@@ -768,22 +778,11 @@ class TestTrainCommand:
 
 
 class TestBench:
-    def test_csv_and_cache_reuse(self, capsys, cache_dir, tmp_path):
+    def test_csv_and_cache_reuse(self, capsys, tmp_path):
         out_file = tmp_path / "bench.csv"
         code, out, _ = run(
-            [
-                "bench",
-                "--sizes",
-                "50,120",
-                "--n-max",
-                "200",
-                "--out",
-                str(out_file),
-                "--cache-dir",
-                cache_dir,
-                "--manifest",
-                str(tmp_path / "m.json"),
-            ],
+            ["bench", "--sizes", "50,120", "--out", str(out_file),
+             "--manifest", str(tmp_path / "m.json")],
             capsys,
         )
         assert code == 0
@@ -792,40 +791,32 @@ class TestBench:
         assert len(lines) == 3
         assert float(lines[1].split(",")[1]) >= 0.0
 
-    def test_n_max_filters(self, capsys, cache_dir, tmp_path):
-        code, _, _ = run(
-            [
-                "bench",
-                "--sizes",
-                "50,5000",
-                "--n-max",
-                "100",
-                "--out",
-                str(tmp_path / "b.csv"),
-                "--cache-dir",
-                cache_dir,
-                "--manifest",
-                str(tmp_path / "m.json"),
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert len((tmp_path / "b.csv").read_text().strip().split("\n")) == 2
-
-    def test_ceiling_guard(self, capsys, cache_dir, tmp_path):
-        code, _, _ = run(
-            [
-                "bench",
-                "--n-max",
-                "100000",
-                "--out",
-                str(tmp_path / "b.csv"),
-                "--cache-dir",
-                cache_dir,
-            ],
-            capsys,
+    def test_a_size_over_the_cap_refuses_the_whole_list(self, capsys, tmp_path, monkeypatch):
+        # The parser refuses the list before any size runs, so no CSV and no
+        # manifest are written for the sizes under the cap either.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            ["bench", "--sizes", f"50,{cli.BENCH_MAX_NODES + 1}", "--out", "b.csv"], capsys
         )
         assert code == 1
+        assert (
+            f"error: argument --sizes: must be <= {cli.BENCH_MAX_NODES}, "
+            f"got {cli.BENCH_MAX_NODES + 1}"
+        ) in err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    def test_ceiling_guard(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(
+            ["bench", "--sizes", str(cli.BENCH_MAX_NODES + 1), "--out", "b.csv"], capsys
+        )
+        assert code == 1
+        assert "error: argument --sizes: " in err
+        assert list(tmp_path.iterdir()) == []
+        args = build_parser().parse_args(
+            ["bench", "--sizes", str(cli.BENCH_MAX_NODES), "--out", "b.csv"]
+        )
+        assert args.sizes == [cli.BENCH_MAX_NODES]
 
 
 def double_edge_swap(g):
@@ -927,3 +918,27 @@ def test_every_readme_cli_example_parses(capsys):
                 f"README example `cayleyprop {shlex.join(argv)}` does not parse:\n"
                 f"{capsys.readouterr().err}"
             )
+
+
+def test_every_option_is_pinned():
+    # A new option doubles the configurations to test; it should show here.
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        command: [a.option_strings[0] if a.option_strings else a.dest
+                  for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        for command, parser in subparsers.choices.items()
+    }
+    assert options == {
+        "build-cayley": ["--n", "--nodes", "--out", "--manifest"],
+        "analyze": ["graph", "--cayley", "--truncate", "--allow-self-loops", "--out",
+                    "--manifest"],
+        "sweep": ["--v-min", "--v-max", "--out", "--plot", "--cache-dir", "--manifest"],
+        "rewire": ["dataset", "--scheme", "--layers", "--out-dir", "--manifest"],
+        "train": ["--structures", "--seeds", "--train-sizes", "--test-size", "--epochs",
+                  "--batch-size", "--learning-rate", "--hidden", "--layers", "--layer-kind",
+                  "--scheme", "--out", "--plot", "--manifest"],
+        "bench": ["--sizes", "--seed", "--out", "--manifest"],
+    }
+    assert sum(map(len, options.values())) == 39
