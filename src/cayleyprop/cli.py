@@ -41,7 +41,7 @@ from .nn import (
     scheme_plan_builder,
     train,
 )
-from .propagation import SCHEMES, build_plan, export_plan
+from .propagation import CAYLEY_SCHEMES, SCHEMES, build_plan, export_plan
 from .spectral import analyze, expansion_sweep, sweep_to_csv
 
 EXIT_OK = 0
@@ -476,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rewire", help="export propagation templates for a dataset")
     p.add_argument("dataset", help="dataset manifest JSON")
-    p.add_argument("--scheme", choices=SCHEMES, default="CGP")
+    # export_plan writes templates for the Cayley schemes alone.
+    p.add_argument("--scheme", choices=sorted(CAYLEY_SCHEMES, key=SCHEMES.index), default="CGP")
     p.add_argument("--layers", type=_int_from(1), default=2)
     p.add_argument("--out-dir", required=True)
     common(p)

@@ -4,11 +4,10 @@ reverse-mode gradients, Adam, and the synthetic sum-classification task.
 Everything runs in float64. Consecutive samples that share an original and
 an extended node count run as one (s, m, F) stack of at most STACK_SAMPLES
 graphs: each product is one np.matmul, which makes the same BLAS call per
-slice as one sample alone would, and per-sample gradients are added in
-sample order, so a batch gives the bytes of the one-sample-at-a-time path
-(kept as the test oracle). Features, virtual rows, readout sums and the
-readout gradient are filled with one call per stack. A layer's operator is
-the dense (m, m) matrix of its template, and every template's is kept as
+slice as one sample alone would, and each array's per-sample gradients are
+added into the batch total in sample order, so a batch gives the bytes of
+the one-sample-at-a-time path (kept as the test oracle). A layer's operator
+is the dense (m, m) matrix of its template, and every template's is kept as
 the flat positions of its nonzeros, plus their values for GCN: a stack's
 (s, m, m) operators are scattered from them, so the memory a run holds per
 template grows with its edges, not with m^2. A layer whose template is one
@@ -17,9 +16,10 @@ run, which np.matmul broadcasts over the stack. Every parameter array is a
 view of one flat vector; the batch gradient is one vector in the same
 layout, averaged over the batch, and Adam steps the whole vector with the
 per-array arithmetic. A training run passes one _Run, which holds the
-operator entries, the shared operators and the gradient stack, to every
-engine call. No batch normalization: the graphs here are tiny and exact
-gradient checks matter more than large-scale training tricks.
+operator entries, the shared operators and the buffers that each stack's
+arrays are written into, to every engine call. No batch normalization: the
+graphs here are tiny and exact gradient checks matter more than large-scale
+training tricks.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ LAYER_KINDS = ("gin", "gcn")
 
 # Samples per stack: consecutive samples that share an original and an
 # extended node count run through the layers as one (s, m, F) stack of at
-# most this many. A template shared by the whole stack passes its one
-# (1, m, m) operator, which np.matmul broadcasts, so a Cayley layer near the
-# dense cap is not copied into an (s, m, m) stack.
+# most this many, and a run's buffers have room for this many samples. A
+# template shared by the whole stack passes its one (1, m, m) operator, which
+# np.matmul broadcasts, so a Cayley layer near the dense cap is not copied.
 STACK_SAMPLES = 16
 
 ADAM_BETA1 = 0.9
@@ -142,8 +142,7 @@ class ModelParams:
         return self._layout
 
     def _bind(self, buf: np.ndarray) -> "ModelParams":
-        """Make every array a view of buf's last axis, in place; leading axes
-        of buf (a stack of samples) lead every view."""
+        """Make every array a view of the flat buf, in place."""
         views = (view for _, view in _views(buf, self.layout()))
         self.layers = [
             replace(l, **{n: next(views) for n, _ in l.arrays()}) for l in self.layers
@@ -162,13 +161,12 @@ class ModelParams:
 
 
 def _views(buf: np.ndarray, layout):
-    """(name, view) of buf's last axis cut into layout's (name, shape)
-    arrays in order; leading axes of buf lead every view."""
-    lead = buf.shape[:-1]
+    """(name, view) of the flat buf cut into layout's (name, shape) arrays
+    in order."""
     offset = 0
     for name, shape in layout:
         size = math.prod(shape)
-        yield name, buf[..., offset : offset + size].reshape(lead + shape)
+        yield name, buf[offset : offset + size].reshape(shape)
         offset += size
 
 
@@ -276,10 +274,9 @@ def _scatter(positions: list, values: list | None, m: int) -> np.ndarray:
 class _Run:
     """The state of one training run: the entries of each (template, kind)
     layer operator, the dense operator of each template that a stack shares,
-    and, per parameter layout, one STACK_SAMPLES-deep gradient stack; each is
-    built once and dropped with the run. A template that samples do not
-    share keeps only its entries, O(edges), and its stacks are scattered from
-    them."""
+    and the buffers every stack writes its arrays into; each is built once
+    and dropped with the run. A template that samples do not share keeps
+    only its entries, O(edges), and its stacks are scattered from them."""
 
     def __init__(self) -> None:
         # kind -> id(template) -> (template, positions, values), and
@@ -288,8 +285,7 @@ class _Run:
         # exists.
         self._entries = {kind: {} for kind in LAYER_KINDS}
         self._shared = {}
-        self._grad_buffers = {}
-        self._grad_stacks = {}
+        self._buffers = {}
 
     def operator(self, graphs: list[UGraph], kind: str) -> np.ndarray:
         """The layer operator of a stack whose samples propagate over graphs,
@@ -319,18 +315,15 @@ class _Run:
             self._shared[id(g), kind] = (g, ops)
         return ops
 
-    def grad_stack(self, params: ModelParams, s: int) -> ModelParams:
-        """params' layout over an uninitialised (s, P) stack of per-sample
-        gradients, P the parameter count: every array an (s, ...) view, made
-        once per s over the first s rows of the layout's buffer, which the
-        next stack overwrites."""
-        layout = params.layout()
-        key = (layout, s)
-        if key not in self._grad_stacks:
-            if layout not in self._grad_buffers:
-                self._grad_buffers[layout] = np.empty((STACK_SAMPLES, params.vec.size))
-            self._grad_stacks[key] = params._over(self._grad_buffers[layout][:s])
-        return self._grad_stacks[key]
+    def buffer(self, key, shape: tuple) -> np.ndarray:
+        """An uninitialised (s, ...) array of shape over the run's buffer for
+        key, which every stack overwrites: room for STACK_SAMPLES samples of
+        the largest shape asked for, so a run allocates a stack's arrays once."""
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(STACK_SAMPLES * math.prod(shape[1:]))
+        return buf[:size].reshape(shape)
 
 
 def _runs(plans: list[PropagationPlan]):
@@ -344,57 +337,79 @@ def _runs(plans: list[PropagationPlan]):
             start = i
 
 
-def _stack_layer_forward(x, ops, p):
-    """One layer over a stack; the output and the cache for
-    _stack_layer_backward, which always ends with the ReLU pre-activation."""
+def _stack_layer_forward(i: int, x, ops, p, run: _Run):
+    """Layer i over a stack in the run's buffers; the output and the cache
+    for _stack_layer_backward, which always ends with the ReLU pre-activation."""
+    wide = x.shape[:2] + (p.b1 if p.kind == "gin" else p.b).shape
     if p.kind == "gin":
         c = 1.0 + float(p.eps)
-        z = x * c
-        z += ops @ x
-        pre = z @ p.w1
+        z = np.multiply(x, c, out=run.buffer((i, "z"), x.shape))
+        z += np.matmul(ops, x, out=run.buffer("t", x.shape))
+        pre = np.matmul(z, p.w1, out=run.buffer((i, "pre"), wide))
         pre += p.b1
-        h = np.maximum(pre, 0.0)
-        out = h @ p.w2
+        h = np.maximum(pre, 0.0, out=run.buffer((i, "h"), wide))
+        out = np.matmul(h, p.w2, out=run.buffer((i, "out"), wide))
         out += p.b2
         return out, (c, x, z, h, pre)
-    sx = ops @ x
-    pre = sx @ p.w
+    sx = np.matmul(ops, x, out=run.buffer((i, "z"), x.shape))
+    pre = np.matmul(sx, p.w, out=run.buffer((i, "pre"), wide))
     pre += p.b
-    return np.maximum(pre, 0.0), (sx, pre)
+    return np.maximum(pre, 0.0, out=run.buffer((i, "out"), wide)), (sx, pre)
 
 
-def _stack_layer_backward(i: int, dout, cache, ops, p, grads):
-    """Write layer i's per-sample parameter gradients into grads, the
-    layer's (s, ...) views of the gradient stack, and return the input
-    gradient, which only the first layer (i = 0) never forms; an operator is
-    symmetric, so it is its own transpose."""
+def _fold(run: _Run, total: np.ndarray, product, *args, **kwargs) -> None:
+    """Write product(*args, **kwargs), one array's (s, ...) per-sample
+    gradients, into the run's "grad" buffer and add them to total in order."""
+    grads = product(*args, **kwargs, out=run.buffer("grad", args[0].shape[:1] + total.shape))
+    if total.size == 1:  # numpy sums a lone axis pairwise: add float by float
+        total.fill(_add_in_order(total, grads.ravel().tolist()))
+    else:  # slot 0 takes the total, then the reduce adds slot by slot
+        grads[0] += total
+        np.add.reduce(grads, axis=0, out=total)
+
+
+def _add_in_order(total: np.ndarray, values: list) -> float:
+    """total's one entry plus values, left to right (sum() compensates its
+    float additions from Python 3.12 on)."""
+    return functools.reduce(float.__add__, values, total.item())
+
+
+def _stack_layer_backward(i: int, dout, cache, ops, p, total, run: _Run):
+    """Fold layer i's per-sample parameter gradients into total, the layer's
+    views of the batch gradient, and return the input gradient, which only
+    the first layer (i = 0) never forms; an operator is symmetric, so it is
+    its own transpose. Each temporary overwrites an array read for the last
+    time before it: dpre takes h's buffer (GIN) or pre's (GCN), dz takes
+    z's or sx's, and the input gradient takes dout's."""
     # The products against w.T stay on the transposed view, as in the
     # oracle: a C-contiguous copy runs faster, but OpenBLAS's SkylakeX
     # small-matrix kernels round it differently at some shapes (a hidden
     # width of 32, or two rows).
     if p.kind == "gin":
         c, x, z, h, pre = cache
-        np.matmul(h.transpose(0, 2, 1), dout, out=grads.w2)
-        np.add.reduce(dout, axis=1, out=grads.b2)
-        dpre = dout @ p.w2.T
+        _fold(run, total.w2, np.matmul, h.transpose(0, 2, 1), dout)
+        _fold(run, total.b2, np.add.reduce, dout, axis=1)
+        dpre = np.matmul(dout, p.w2.T, out=h)
         dpre *= pre > 0.0
-        np.matmul(z.transpose(0, 2, 1), dpre, out=grads.w1)
-        np.add.reduce(dpre, axis=1, out=grads.b1)
-        dz = dpre @ p.w1.T
+        _fold(run, total.w1, np.matmul, z.transpose(0, 2, 1), dpre)
+        _fold(run, total.b1, np.add.reduce, dpre, axis=1)
+        dz = np.matmul(dpre, p.w1.T, out=z)
         dx = None
         if i:
-            dx = dz * c
-            dx += ops @ dz
+            dx = np.multiply(dz, c, out=run.buffer("dh", x.shape))
+            dx += np.matmul(ops, dz, out=run.buffer("t", x.shape))
+        # Only now, with dx formed, may dz be scaled in place.
         dz *= x
-        np.add.reduce(dz, axis=(1, 2), out=grads.eps)
+        _fold(run, total.eps, np.add.reduce, dz, axis=(1, 2))
         return dx
     sx, pre = cache
-    dpre = dout * (pre > 0.0)
-    np.matmul(sx.transpose(0, 2, 1), dpre, out=grads.w)
-    np.add.reduce(dpre, axis=1, out=grads.b)
+    dpre = np.multiply(dout, pre > 0.0, out=pre)
+    _fold(run, total.w, np.matmul, sx.transpose(0, 2, 1), dpre)
+    _fold(run, total.b, np.add.reduce, dpre, axis=1)
     if i == 0:
         return None
-    return ops @ (dpre @ p.w.T)
+    dz = np.matmul(dpre, p.w.T, out=sx)
+    return np.matmul(ops, dz, out=run.buffer("dh", sx.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +430,8 @@ def _stack_forward(
     s, rows, m = len(plans), plans[0].original_count, plans[0].extended_count
     first = params.layers[0]
     in_dim = (first.w1 if first.kind == "gin" else first.w).shape[0]
-    h = np.zeros((s, m, in_dim))
+    h = run.buffer("x", (s, m, in_dim))
+    h[:, rows:] = 0.0
     _copy_features(xs, h[:, :rows])
     other_depths = {plan.num_layers for plan in plans} - {len(params.layers)}
     if other_depths:
@@ -426,7 +442,7 @@ def _stack_forward(
     layers = []
     for i, layer in enumerate(params.layers):
         ops = run.operator([plan.layer_graphs[i] for plan in plans], layer.kind)
-        h, cache = _stack_layer_forward(h, ops, layer)
+        h, cache = _stack_layer_forward(i, h, ops, layer, run)
         layers.append((ops, cache))
     sums = np.add.reduce(h[:, :rows], axis=1)
     # One BLAS dot per sample, as the oracle readout's `@` makes: ndarray.dot
@@ -457,27 +473,21 @@ def _copy_features(xs, out: np.ndarray) -> None:
 
 
 def _stack_backward(
-    plans, params: ModelParams, sums, layers, dzs, acc, run: _Run
+    plans, params: ModelParams, sums, layers, dzs, total: ModelParams, run: _Run
 ) -> None:
-    """Add each sample's parameter gradients to the flat vector acc, in
-    sample order; the first layer's input gradient is never formed."""
-    s, hidden = sums.shape
+    """Add each sample's parameter gradients to total, params' layout over
+    the batch gradient, in sample order, one array at a time through the
+    run's "grad" buffer; the first layer's input gradient is never formed."""
     rows, m = plans[0].original_count, plans[0].extended_count
-    grads = run.grad_stack(params, s)
     dz = np.array(dzs)
-    np.multiply(sums, dz[:, None], out=grads.readout_w)
-    grads.readout_b[...] = dz
-    dh = np.zeros((s, m, hidden))
+    _fold(run, total.readout_w, np.multiply, sums, dz[:, None])
+    total.readout_b.fill(_add_in_order(total.readout_b, dzs))
+    dh = run.buffer("dh", (len(sums), m, sums.shape[1]))
+    dh[:, rows:] = 0.0
     np.multiply(params.readout_w, dz[:, None, None], out=dh[:, :rows])
     for i in range(len(layers) - 1, -1, -1):
         ops, cache = layers[i]
-        dh = _stack_layer_backward(i, dh, cache, ops, params.layers[i], grads.layers[i])
-    # Slot 0 takes the running total, then the reduce adds the slots in
-    # sample order: a reduce along axis 0 goes slot by slot for every
-    # column, as axis 0 is never its only axis (numpy sums a lone axis
-    # pairwise).
-    grads.vec[0] += acc
-    np.add.reduce(grads.vec, axis=0, out=acc)
+        dh = _stack_layer_backward(i, dh, cache, ops, params.layers[i], total.layers[i], run)
 
 
 def model_forward(
@@ -486,7 +496,7 @@ def model_forward(
     """Run the layer schedule; returns final embeddings and the prediction
     logit (or regression value)."""
     h, _, (z,), _ = _stack_forward([plan], params, [x], _Run())
-    return h[0], z
+    return h[0].copy(), z
 
 
 # No command calls this yet: it is to be reported by `train --trace`.
@@ -523,7 +533,7 @@ def loss_and_grads(
     if len(plans) != len(batch):
         raise ValueError(f"{len(plans)} plans for {len(batch)} samples")
     total = 0.0
-    acc = np.zeros_like(params.vec)
+    grads = params._over(np.zeros_like(params.vec))
     for start, stop in _runs(plans):
         part = batch[start:stop]
         _, sums, logits, layers = _stack_forward(
@@ -534,11 +544,12 @@ def loss_and_grads(
             value, dz = _loss_and_dz(z, label)
             total += value
             dzs.append(dz)
-        _stack_backward(plans[start:stop], params, sums, layers, dzs, acc, run)
+        _stack_backward(plans[start:stop], params, sums, layers, dzs, grads, run)
     scale = 1.0 / len(batch)
     mean_loss = total * scale
     if not math.isfinite(mean_loss):
         raise TrainingDiverged(f"non-finite loss {mean_loss}")
+    acc = grads.vec
     acc *= scale
     if not np.all(np.isfinite(acc)):
         views = _views(acc, params.layout())

@@ -25,6 +25,7 @@ from itertools import product
 
 import numpy as np
 
+from cayleyprop import nn
 from cayleyprop.graphcore import _SEED_TAG_BA, UGraph
 from cayleyprop.modgroup import sl2_order
 from cayleyprop.nn import (
@@ -479,6 +480,37 @@ def sample_gradients(
 
 def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.arrays()}
+
+
+def batch_gradients(plans, params: ModelParams, batch):
+    """Mean loss and gradients of the per-sample path, summed one sample at
+    a time in batch order."""
+    total = 0.0
+    expected = zero_grads(params)
+    for plan, (x, label) in zip(plans, batch):
+        value, grads, _ = sample_gradients(plan, params, x, label)
+        total += value
+        for name, g in grads.items():
+            expected[name] += g
+    scale = 1.0 / len(batch)
+    for name in expected:
+        expected[name] *= scale
+    return total * scale, expected
+
+
+def assert_matches_oracle(plans, params: ModelParams, batch) -> None:
+    """nn.loss_and_grads on a cold and then a warm run gives the loss and
+    every gradient byte of batch_gradients."""
+    want_loss, want = batch_gradients(plans, params, batch)
+    run = nn._Run()
+    for _ in range(2):
+        loss, g = nn.loss_and_grads(plans, params, batch, run)
+        assert loss == want_loss
+        assert g.shape == params.vec.shape
+        views = dict(nn._views(g, params.layout()))
+        assert views.keys() == want.keys()
+        for name, view in views.items():
+            assert view.tobytes() == want[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -135,11 +135,17 @@ class TestExitCodes:
             (TRAIN + ["--train-sizes", "20,20"], "--train-sizes"),
             (TRAIN + ["--structures", "Empty,Empty"], "--structures"),
             (BENCH + ["--sizes", "10,10"], "--sizes"),
+            *(
+                (["rewire", "dataset.json", "--scheme", scheme, "--out-dir", "out"],
+                 "--scheme")
+                for scheme in ("Base", "MasterNode", "FALast")
+            ),
         ],
         ids=["seeds-not-integers", "seeds-negative", "train-sizes-zero",
              "structures-unknown", "structures-empty", "bench-sizes-zero",
              "bench-sizes-not-integers", "seeds-repeated", "train-sizes-repeated",
-             "structures-repeated", "bench-sizes-repeated"],
+             "structures-repeated", "bench-sizes-repeated", "rewire-scheme-Base",
+             "rewire-scheme-MasterNode", "rewire-scheme-FALast"],
     )
     def test_a_bad_list_item_is_refused_by_the_parser(
         self, argv, option, capsys, tmp_path, monkeypatch
@@ -148,6 +154,11 @@ class TestExitCodes:
         code, out, err = run(argv, capsys)
         assert code == 1
         assert f"error: argument {option}: " in err
+        if argv[0] == "rewire":
+            # argparse names the refused scheme, then the four it takes.
+            refused, allowed = err.split("invalid choice: ")[1].split("choose from")
+            assert argv[3] in refused
+            assert re.findall(r"\w+", allowed) == ["EGP", "CGP", "CGPLast", "CGPEvery"]
         assert out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -34,6 +34,8 @@ from cayleyprop.nn import GCNLayerParams, _loss_and_dz
 from cayleyprop.propagation import SCHEMES, build_plan
 from oracles import (
     _forward_cached,
+    assert_matches_oracle,
+    batch_gradients,
     int_refusal,
     layer_forward,
     readout,
@@ -371,35 +373,6 @@ class TestLossAndGrads:
         assert_matches_oracle(plans, params, batch)
 
 
-def oracle_loss_and_grads(plans, params, batch):
-    """Mean loss and gradients of the per-sample oracle, summed one sample
-    at a time in batch order."""
-    total = 0.0
-    expected = zero_grads(params)
-    for plan, (x, label) in zip(plans, batch):
-        value, grads, _ = sample_gradients(plan, params, x, label)
-        total += value
-        for name, g in grads.items():
-            expected[name] += g
-    scale = 1.0 / len(batch)
-    for name in expected:
-        expected[name] *= scale
-    return total * scale, expected
-
-
-def assert_matches_oracle(plans, params, batch):
-    want_loss, want = oracle_loss_and_grads(plans, params, batch)
-    run = nn._Run()
-    for _ in range(2):  # a cold and a warm run
-        loss, g = loss_and_grads(plans, params, batch, run)
-        assert loss == want_loss
-        assert g.shape == params.vec.shape
-        views = dict(nn._views(g, params.layout()))
-        assert views.keys() == want.keys()
-        for name, view in views.items():
-            assert view.tobytes() == want[name].tobytes(), name
-
-
 class TestStackedEngine:
     def test_runs_cut_at_count_changes_and_stack_size(self):
         # A full stack, its remainder, then cuts at every count change:
@@ -595,7 +568,7 @@ class TestWholeVector:
         _, g = loss_and_grads([plan], params, [(x, 1.0)], nn._Run())
         assert g.shape == params.vec.shape and g.dtype == np.float64
         assert not np.shares_memory(g, params.vec)
-        _, want = oracle_loss_and_grads([plan], params, [(x, 1.0)])
+        _, want = batch_gradients([plan], params, [(x, 1.0)])
         packed = np.concatenate([want[n].reshape(-1) for n, _ in params.layout()])
         assert g.tobytes() == packed.tobytes()
 
@@ -958,7 +931,8 @@ class TestOperatorMemo:
         # After a CGP run over N per-sample templates, the run's only (m, m)
         # float array is the Cayley layer's shared operator; every input
         # template keeps its entries, O(edges). Batches of 17 leave stacks
-        # of one sample, whose template is not shared either.
+        # of one sample, whose template is not shared either. No array is a
+        # stack of whole-model gradients, P columns wide.
         kept = []
         loss_and_grads = nn.loss_and_grads
 
@@ -993,6 +967,8 @@ class TestOperatorMemo:
         walk(vars(run))
         dense = [a for a in arrays if a.dtype.kind == "f" and a.shape[-2:] == (m, m)]
         assert [a.shape for a in dense] == [(1, m, m)]
+        p = init_params(np.random.default_rng(0), "gin", 128, 4, 2).vec.size
+        assert not [a.shape for a in arrays if a.ndim and a.shape[-1] == p]
         entries = list(run._entries["gin"].values())
         assert len(entries) == len(ds.train) + len(ds.test) + 1
         assert {p.ndim for _, p, _ in entries} == {1}
@@ -1000,10 +976,11 @@ class TestOperatorMemo:
 
     def test_workspace_is_dropped_when_a_run_raises(self, monkeypatch):
         runs = self.record_runs(monkeypatch)
-        depths = []
+        held = []
 
         def failing_step(params, g, state, lr):
-            depths.extend(buf.shape[0] for buf in runs[-1]()._grad_buffers.values())
+            largest = max(a.size for _, a in params.arrays())
+            held.append((runs[-1]()._buffers["grad"].shape, largest))
             raise RuntimeError("stop")
 
         monkeypatch.setattr(nn, "adam_step", failing_step)
@@ -1011,9 +988,9 @@ class TestOperatorMemo:
         config = TrainConfig(epochs=1, batch_size=12, hidden_dim=4, train_sizes=(12,))
         with pytest.raises(RuntimeError, match="stop") as info:
             train(scheme_plan_builder("Base", 1), ds, config)
-        # One gradient buffer, STACK_SAMPLES deep, though the only stack
-        # held 12 samples.
-        assert depths == [nn.STACK_SAMPLES]
+        # One scratch, room for STACK_SAMPLES gradients of the largest
+        # array (128 x 4), though the only stack held 12 samples.
+        assert held == [((nn.STACK_SAMPLES * 128 * 4,), 128 * 4)]
         # The traceback holds train's frame, and with it the run, until the
         # exception is dropped.
         (run,) = runs

@@ -29,9 +29,10 @@ from cayleyprop.graphcore import (
 )
 from cayleyprop.modgroup import generators, sl2_order
 from cayleyprop.nn import LAYER_KINDS, STACK_SAMPLES, TrainConfig, gen_sum_task
-from cayleyprop.propagation import build_plan, extend_input_adjacency
+from cayleyprop.propagation import SCHEMES, build_plan, extend_input_adjacency
 from cayleyprop.spectral import analyze, diameter_bfs, expansion_sweep
 from oracles import (
+    assert_matches_oracle,
     choice_cdf,
     choice_p,
     diameter_per_source,
@@ -326,6 +327,45 @@ def test_stacked_operators_match_the_dense_oracle(m, kind, data):
         shared = len(stack) > 1 and all(g is stack[0] for g in stack)
         assert ops.shape == ((1, m, m) if shared else want.shape)
         assert np.broadcast_to(ops, want.shape).tobytes() == want.tobytes()
+
+
+# BA graph sizes of a batch: 1 to two full stacks and one more graph, in runs
+# of one size, so that stacks end at a size change, after STACK_SAMPLES
+# samples, or both. Under the Cayley schemes, 4- and 6-node graphs share the
+# 6 nodes of SL(2, Z_2), and 7- and 20-node graphs the 24 of SL(2, Z_3), so
+# a stack also ends on the original count alone.
+@st.composite
+def ba_batch_sizes(draw):
+    count = draw(st.integers(1, 2 * STACK_SAMPLES + 1))
+    sizes = []
+    while len(sizes) < count:
+        size = draw(st.sampled_from((1, 4, 6, 7, 20)))
+        sizes += [size] * draw(st.integers(1, count - len(sizes)))
+    return sizes
+
+
+@DETERMINISTIC
+@given(
+    scheme=st.sampled_from(SCHEMES),
+    kind=st.sampled_from(LAYER_KINDS),
+    depth=st.integers(1, 3),
+    in_dim=st.integers(1, 8),
+    hidden=st.sampled_from((1, 32)) | st.integers(1, 32),
+    sizes=ba_batch_sizes(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_engine_matches_the_per_sample_oracle(
+    scheme, kind, depth, in_dim, hidden, sizes, seed
+):
+    # At a hidden width of 1 the biases and readout.w have one entry per
+    # sample, as eps and readout.b always do: numpy sums such a stack
+    # pairwise unless it is added sample by sample.
+    rng = np.random.default_rng(seed)
+    graphs = [gen_graph("BA", n, k, m=2) for k, n in enumerate(sizes)]
+    plans = [build_plan(g, scheme, depth, cache=CAYLEY_GRAPHS) for g in graphs]
+    params = nn.init_params(rng, kind, in_dim, hidden, depth)
+    batch = [(rng.standard_normal((n, in_dim)), float(rng.random() < 0.5)) for n in sizes]
+    assert_matches_oracle(plans, params, batch)
 
 
 @DETERMINISTIC
