@@ -34,7 +34,9 @@ from .graphcore import (
 )
 from .modgroup import sl2_order
 from .nn import (
+    LAYER_KINDS,
     SUM_TASK_STRUCTURES,
+    SUM_TASK_TEST_SIZE,
     TrainConfig,
     curve_to_csv,
     gen_sum_task,
@@ -308,12 +310,12 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     plt = _matplotlib() if args.plot else None
-    builder = scheme_plan_builder(args.scheme, args.layers)
+    builder = scheme_plan_builder(base_config.scheme, base_config.num_layers)
     all_rows, failed = [], []
     for structure in args.structures:
         for seed in args.seeds:
             dataset = gen_sum_task(
-                structure, max(args.train_sizes), seed, test_size=args.test_size
+                structure, max(base_config.train_sizes), seed, test_size=args.test_size
             )
             config = dataclasses.replace(base_config, seed=seed)
             for row in train(builder, dataset, config):
@@ -490,16 +492,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--train-sizes",
         type=_list_of(_int_from(1)),
-        default="20,40,60,100,200,300,400,500,1000,2000,4000",
+        default=",".join(map(str, TrainConfig.train_sizes)),
     )
-    p.add_argument("--test-size", type=_int_from(1), default=200)
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--layer-kind", choices=("gin", "gcn"), default="gin")
-    p.add_argument("--scheme", choices=SCHEMES, default="Base")
+    p.add_argument("--test-size", type=_int_from(1), default=SUM_TASK_TEST_SIZE)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden_dim)
+    p.add_argument("--layers", type=int, default=TrainConfig.num_layers)
+    p.add_argument("--layer-kind", choices=LAYER_KINDS, default=TrainConfig.layer_kind)
+    p.add_argument("--scheme", choices=SCHEMES, default=TrainConfig.scheme)
     p.add_argument("--out", required=True)
     p.add_argument("--plot", default=None)
     common(p)

@@ -6,7 +6,8 @@ an extended node count run as one (s, m, F) stack of at most STACK_SAMPLES
 graphs: each product is one np.matmul, which makes the same BLAS call per
 slice as one sample alone would, and each array's per-sample gradients are
 added into the batch total in sample order, so a batch gives the bytes of
-the one-sample-at-a-time path (kept as the test oracle). A layer's operator
+the one-sample-at-a-time path (kept as the test oracle). Each engine call
+is checked once, before its first stack runs. A layer's operator
 is the dense (m, m) matrix of its template, and every template's is kept as
 the flat positions of its nonzeros, plus their values for GCN: a stack's
 (s, m, m) operators are scattered from them, so the memory a run holds per
@@ -61,6 +62,7 @@ SUM_TASK_FEATURE_DIM = 128
 SUM_TASK_NODE_COUNT = 20
 SUM_TASK_GNP_P = 0.5
 SUM_TASK_BA_M = 2
+SUM_TASK_TEST_SIZE = 200
 _CAYLEY24_MODULUS = 3
 _CAYLEY24_NODES = 24
 
@@ -326,14 +328,26 @@ class _Run:
         return buf[:size].reshape(shape)
 
 
-def _runs(plans: list[PropagationPlan]):
-    """(start, stop) of each run of consecutive plans that share an original
-    and an extended count, cut every STACK_SAMPLES samples."""
+def _stacks(plans: list[PropagationPlan], params: ModelParams, samples):
+    """Check an engine call, then yield the plans and samples of each stack:
+    a run of consecutive samples whose plans share an original and an
+    extended count, cut every STACK_SAMPLES samples. plans and samples pair
+    up elementwise, and every plan schedules the model's layers."""
+    if not samples:
+        raise ValueError("no samples")
+    if len(plans) != len(samples):
+        raise ValueError(f"{len(plans)} plans for {len(samples)} samples")
+    other_depths = {plan.num_layers for plan in plans} - {len(params.layers)}
+    if other_depths:
+        raise ValueError(
+            f"model has {len(params.layers)} layers, plan schedules "
+            f"{min(other_depths)}"
+        )
     counts = [(plan.original_count, plan.extended_count) for plan in plans]
     start = 0
     for i in range(1, len(plans) + 1):
         if i == len(plans) or i - start == STACK_SAMPLES or counts[i] != counts[start]:
-            yield start, i
+            yield plans[start:i], samples[start:i]
             start = i
 
 
@@ -420,8 +434,7 @@ def _stack_layer_backward(i: int, dout, cache, ops, p, total, run: _Run):
 def _stack_forward(
     plans: list[PropagationPlan], params: ModelParams, xs, run: _Run
 ) -> tuple:
-    """Forward pass of a run of samples that share an original and an
-    extended count.
+    """Forward pass of a stack of samples, as _stacks yields them.
 
     Returns the final embeddings (s, m, hidden), each sample's readout row
     sum (s, hidden), the logits and each layer's (operators, cache), the
@@ -433,12 +446,6 @@ def _stack_forward(
     h = run.buffer("x", (s, m, in_dim))
     h[:, rows:] = 0.0
     _copy_features(xs, h[:, :rows])
-    other_depths = {plan.num_layers for plan in plans} - {len(params.layers)}
-    if other_depths:
-        raise ValueError(
-            f"model has {len(params.layers)} layers, plan schedules "
-            f"{min(other_depths)}"
-        )
     layers = []
     for i, layer in enumerate(params.layers):
         ops = run.operator([plan.layer_graphs[i] for plan in plans], layer.kind)
@@ -490,15 +497,6 @@ def _stack_backward(
         dh = _stack_layer_backward(i, dh, cache, ops, params.layers[i], total.layers[i], run)
 
 
-def model_forward(
-    plan: PropagationPlan, params: ModelParams, x: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Run the layer schedule; returns final embeddings and the prediction
-    logit (or regression value)."""
-    h, _, (z,), _ = _stack_forward([plan], params, [x], _Run())
-    return h[0].copy(), z
-
-
 # No command calls this yet: it is to be reported by `train --trace`.
 def relu_kink_margin(plan: PropagationPlan, params: ModelParams, x: np.ndarray) -> float:
     """Smallest |pre-activation| across every ReLU in the forward pass.
@@ -507,7 +505,8 @@ def relu_kink_margin(plan: PropagationPlan, params: ModelParams, x: np.ndarray) 
     the probe step; a margin near zero means the loss is not differentiable
     at the current parameters.
     """
-    _, _, _, layers = _stack_forward([plan], params, [x], _Run())
+    ((plans, xs),) = _stacks([plan], params, [x])
+    _, _, _, layers = _stack_forward(plans, params, xs, _Run())
     return min(float(np.abs(cache[-1]).min()) for _, cache in layers)
 
 
@@ -528,23 +527,16 @@ def loss_and_grads(
     """Mean BCE loss and mean gradient over a batch of (features, label)
     pairs; plans and samples pair up elementwise. The gradient is one
     vector laid out as params.vec."""
-    if not batch:
-        raise ValueError("empty batch")
-    if len(plans) != len(batch):
-        raise ValueError(f"{len(plans)} plans for {len(batch)} samples")
     total = 0.0
     grads = params._over(np.zeros_like(params.vec))
-    for start, stop in _runs(plans):
-        part = batch[start:stop]
-        _, sums, logits, layers = _stack_forward(
-            plans[start:stop], params, [x for x, _ in part], run
-        )
+    for stack, part in _stacks(plans, params, batch):
+        _, sums, logits, layers = _stack_forward(stack, params, [x for x, _ in part], run)
         dzs = []
         for z, (_, label) in zip(logits, part):
             value, dz = _loss_and_dz(z, label)
             total += value
             dzs.append(dz)
-        _stack_backward(plans[start:stop], params, sums, layers, dzs, grads, run)
+        _stack_backward(stack, params, sums, layers, dzs, grads, run)
     scale = 1.0 / len(batch)
     mean_loss = total * scale
     if not math.isfinite(mean_loss):
@@ -635,7 +627,7 @@ def gen_sum_task(
     train_size: int,
     seed: int,
     *,
-    test_size: int = 200,
+    test_size: int = SUM_TASK_TEST_SIZE,
 ) -> SumTaskDataset:
     """Binary classification with a graph-independent ground truth.
 
@@ -775,16 +767,9 @@ def error_rate(
 ) -> float:
     """Share of samples whose logit falls on the wrong side of zero; plans
     and samples pair up elementwise."""
-    if not samples:
-        raise ValueError("no samples to evaluate")
-    if len(plans) != len(samples):
-        raise ValueError(f"{len(plans)} plans for {len(samples)} samples")
     wrong = 0
-    for start, stop in _runs(plans):
-        part = samples[start:stop]
-        _, _, logits, _ = _stack_forward(
-            plans[start:stop], params, [s.features for s in part], run
-        )
+    for stack, part in _stacks(plans, params, samples):
+        _, _, logits, _ = _stack_forward(stack, params, [s.features for s in part], run)
         for z, sample in zip(logits, part):
             if not math.isfinite(z):
                 raise TrainingDiverged(f"non-finite logit {z}")

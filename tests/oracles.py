@@ -9,9 +9,10 @@ choice's weighted pick in numpy's own steps; graph helpers that build test
 inputs (relabelling, disjoint unions, d-patterns, connectivity); the dense
 layer operator, the standalone layer forward, the per-sample training path
 and the per-array Adam step that the stacked, whole-vector engine in
-`cayleyprop.nn` must match bit for bit; and the wording of the library's
-integer check refusing a value. None of them is on a command's code path, so they live here rather
-than in the package.
+`cayleyprop.nn` must match bit for bit; `model_forward`, the engine's
+forward pass of one sample, which only tests call; and the wording of the
+library's integer check refusing a value. None of them is on a command's
+code path, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -511,6 +512,16 @@ def assert_matches_oracle(plans, params: ModelParams, batch) -> None:
         assert views.keys() == want.keys()
         for name, view in views.items():
             assert view.tobytes() == want[name].tobytes(), name
+
+
+def model_forward(
+    plan: PropagationPlan, params: ModelParams, x: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The engine's forward pass of one sample: its final embeddings and
+    its prediction logit (or regression value)."""
+    ((plans, xs),) = nn._stacks([plan], params, [x])
+    h, _, (z,), _ = nn._stack_forward(plans, params, xs, nn._Run())
+    return h[0].copy(), z
 
 
 # ---------------------------------------------------------------------------

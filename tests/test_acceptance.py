@@ -23,7 +23,6 @@ from cayleyprop.nn import (
     TrainConfig,
     gen_sum_task,
     init_params,
-    model_forward,
     relu_kink_margin,
     scheme_plan_builder,
     train,
@@ -39,6 +38,7 @@ from oracles import (
     effective_resistance_pair,
     enumerate_sl2_bruteforce,
     is_connected,
+    model_forward,
     readout,
     relabel_nodes,
     sample_gradients,

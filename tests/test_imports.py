@@ -1,8 +1,10 @@
 """numpy is the package's only runtime dependency outside the standard
-library; matplotlib is imported lazily, for --plot only."""
+library; matplotlib is imported lazily, for --plot only. Every function
+at module level is referred to in the package, or listed with its reason."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import cayleyprop
@@ -38,3 +40,41 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
     assert offenders == []
     # the walk reaches imports nested in functions as well
     assert {"numpy", "matplotlib"} <= seen
+
+
+# Module-level functions that nothing in the package refers to, each with
+# the reason it stays in the package rather than in tests/oracles.py.
+UNREFERENCED = {
+    "propagation.extend_features": "perfbench/spans.py wraps it by name (ROADMAP item 1)",
+    "nn.relu_kink_margin": "train --trace is to report it (ROADMAP item 4)",
+    "spectral.dirichlet_energy": "train --trace is to report it (ROADMAP item 4)",
+}
+
+
+def _references(tree) -> Counter:
+    """How often each name, attribute and import alias occurs in the tree."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name] += 1
+    return found
+
+
+def test_every_package_function_is_referred_to_in_the_package():
+    # A function only tests call belongs in tests/oracles.py. Methods are
+    # not checked: perfbench wraps some by name.
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE_DIR.glob("*.py")}
+    everywhere = sum(map(_references, trees.values()), Counter())
+    unreferenced = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        # a reference inside the function's own def is not a caller
+        and everywhere[node.name] == _references(node)[node.name]
+    ]
+    assert sorted(unreferenced) == sorted(UNREFERENCED)

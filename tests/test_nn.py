@@ -25,7 +25,6 @@ from cayleyprop.nn import (
     gen_sum_task,
     init_params,
     loss_and_grads,
-    model_forward,
     relu_kink_margin,
     scheme_plan_builder,
     train,
@@ -38,6 +37,7 @@ from oracles import (
     batch_gradients,
     int_refusal,
     layer_forward,
+    model_forward,
     readout,
     relabel_nodes,
     sample_gradients,
@@ -351,7 +351,7 @@ class TestLossAndGrads:
 
     def test_empty_batch_rejected(self):
         params = init_params(np.random.default_rng(0), "gin", 2, 3, 1)
-        with pytest.raises(ValueError, match="empty batch"):
+        with pytest.raises(ValueError, match="no samples"):
             loss_and_grads([], params, [], nn._Run())
 
     @pytest.mark.parametrize("num_layers", [1, 3])
@@ -381,13 +381,46 @@ class TestStackedEngine:
         counts = [(20, 24)] * (n + 2) + [(30, 48), (20, 24), (20, 24), (20, 48)]
         counts += [(22, 24), (22, 24), (20, 24)]
         plans = [
-            types.SimpleNamespace(original_count=o, extended_count=e)
+            types.SimpleNamespace(original_count=o, extended_count=e, num_layers=1)
             for o, e in counts
         ]
-        assert list(nn._runs(plans)) == [
+        params = init_params(np.random.default_rng(0), "gin", 1, 1, 1)
+        samples = list(range(len(plans)))
+        cuts = [
             (0, n), (n, n + 2), (n + 2, n + 3), (n + 3, n + 5), (n + 5, n + 6),
             (n + 6, n + 8), (n + 8, n + 9),
         ]
+        assert list(nn._stacks(plans, params, samples)) == [
+            (plans[start:stop], samples[start:stop]) for start, stop in cuts
+        ]
+
+    def test_a_plan_of_another_depth_is_refused_before_any_stack_runs(
+        self, monkeypatch
+    ):
+        # Two full stacks of 1-layer plans, then one plan of 2 layers: each
+        # engine call checks every plan before it runs a stack.
+        n = nn.STACK_SAMPLES
+        g = UGraph(2, [(0, 1)])
+        plans = [build_plan(g, "Base", 1)] * (2 * n) + [build_plan(g, "Base", 2)]
+        params = init_params(np.random.default_rng(0), "gin", 2, 3, 1)
+        x = np.ones((2, 2))
+        stacks = []
+        stack_forward = nn._stack_forward
+
+        def counting(stack, *args):
+            stacks.append(len(stack))
+            return stack_forward(stack, *args)
+
+        monkeypatch.setattr(nn, "_stack_forward", counting)
+        message = "model has 1 layers, plan schedules 2"
+        with pytest.raises(ValueError, match=message):
+            loss_and_grads(plans, params, [(x, 1.0)] * len(plans), nn._Run())
+        samples = [nn.SumTaskSample(g, x, 1)] * len(plans)
+        with pytest.raises(ValueError, match=message):
+            nn.error_rate(plans, params, samples, nn._Run())
+        with pytest.raises(ValueError, match=message):
+            relu_kink_margin(plans[-1], params, x)
+        assert stacks == []
 
     @pytest.mark.parametrize(
         "in_dim, hidden, sizes",

@@ -1,4 +1,6 @@
-"""Property-based checks of fast paths against their oracles in oracles.py.
+"""Property-based checks of fast paths against their oracles in oracles.py,
+and of the edge-list format and the propagation plans against their
+stated rules.
 
 Every run draws the same examples (derandomize=True) and writes no example
 database (database=None), so the suite stays deterministic.
@@ -18,18 +20,26 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from cayleyprop import nn
-from cayleyprop.cayley import build_cayley, smallest_modulus
+from cayleyprop.cayley import CayleyCache, build_cayley, smallest_modulus
 from cayleyprop.graphcore import (
+    EdgeListParseError,
     UGraph,
     _pick_columns,
+    emit_edge_list,
     gen_ba_graphs,
     gen_graph,
     induced_prefix_subgraph,
+    parse_edge_list,
     star_graph,
 )
 from cayleyprop.modgroup import generators, sl2_order
 from cayleyprop.nn import LAYER_KINDS, STACK_SAMPLES, TrainConfig, gen_sum_task
-from cayleyprop.propagation import SCHEMES, build_plan, extend_input_adjacency
+from cayleyprop.propagation import (
+    CAYLEY_SCHEMES,
+    SCHEMES,
+    build_plan,
+    extend_input_adjacency,
+)
 from cayleyprop.spectral import analyze, diameter_bfs, expansion_sweep
 from oracles import (
     assert_matches_oracle,
@@ -389,6 +399,128 @@ def test_derived_templates_equal_the_validated_graph(g, data):
         assert got == expected and hash(got) == hash(expected)
         assert type(got.edges) is tuple and type(got.self_loops) is frozenset
         assert got.adj == expected.adj
+
+
+# graphs_on draws node ids, so the graph on no nodes is drawn apart.
+@DETERMINISTIC
+@given(g=st.integers(0, 30).flatmap(lambda n: graphs_on(n) if n else st.just(UGraph(0))))
+def test_edge_lists_round_trip(g):
+    text = emit_edge_list(g)
+    parsed = parse_edge_list(text, allow_self_loops=True)
+    assert parsed == g
+    assert emit_edge_list(parsed) == text
+
+
+CORRUPTIONS = (
+    "repeated edge",
+    "id at the count",
+    "negative id",
+    "plain self-loop",
+    "repeated loop",
+    "late count line",
+    "three tokens",
+    "non-integer token",
+)
+
+
+@st.composite
+def corrupted_edge_lists(draw):
+    """(text, allow_self_loops, line): a valid edge list with one bad line
+    inserted after the count line, and after the line it repeats if any,
+    and the number of the bad line."""
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    g = draw(st.integers(2, 30).flatmap(graphs_on))
+    n = g.node_count
+    node = st.integers(0, n - 1)
+    edges, loops = g.edges or ((0, 1),), g.self_loops
+    if kind == "plain self-loop":
+        loops = ()
+    elif kind == "repeated loop" and not loops:
+        loops = {draw(node)}
+    g = UGraph(n, edges, loops)
+    lines = emit_edge_list(g).splitlines()
+    after = 1
+    if kind == "repeated edge":
+        u, v = draw(st.sampled_from(g.edges))
+        after = lines.index(f"{u} {v}") + 1
+        ids = draw(st.permutations((u, v)))
+    elif kind == "repeated loop":
+        u = draw(st.sampled_from(sorted(g.self_loops)))
+        after = lines.index(f"{u} {u}") + 1
+        ids = (u, u)
+    elif kind == "id at the count":
+        ids = draw(st.permutations((draw(st.integers(0, n)), n)))
+    elif kind == "negative id":
+        ids = draw(st.permutations((draw(node), draw(st.integers(-(2**70), -1)))))
+    elif kind == "plain self-loop":
+        u = draw(node)
+        ids = (u, u)
+    elif kind == "late count line":
+        ids = (draw(st.integers(0, 60)),)
+    elif kind == "three tokens":
+        ids = (draw(node), draw(node), draw(node))
+    else:
+        token = st.text("0123456789+-.ex", min_size=1, max_size=4).filter(
+            lambda t: not re.fullmatch(r"[+-]?\d+", t)
+        )
+        ids = draw(st.permutations((draw(node), draw(token))))
+    at = draw(st.integers(after, len(lines)))
+    lines.insert(at, " ".join(map(str, ids)))
+    return "\n".join(lines) + "\n", kind != "plain self-loop", at + 1
+
+
+@DETERMINISTIC
+@given(case=corrupted_edge_lists())
+def test_a_malformed_edge_list_is_refused_at_its_line(case):
+    text, allow_self_loops, line = case
+    with pytest.raises(EdgeListParseError) as info:
+        parse_edge_list(text, allow_self_loops=allow_self_loops)
+    assert info.value.line_no == line
+
+
+# The layer kind of layer 1..depth under each scheme, as the propagation
+# module's docstring gives it.
+SCHEDULES = {
+    "Base": lambda layer, depth: "input",
+    "MasterNode": lambda layer, depth: "master",
+    "FALast": lambda layer, depth: "fully_adjacent" if layer == depth else "input",
+    "EGP": lambda layer, depth: "input" if layer % 2 else "cayley",
+    "CGP": lambda layer, depth: "input_extended" if layer % 2 else "cayley",
+    "CGPLast": lambda layer, depth: "cayley" if layer == depth else "input_extended",
+    "CGPEvery": lambda layer, depth: "cayley",
+}
+CGP_SCHEMES = ("CGP", "CGPLast", "CGPEvery")
+PLAN_CACHE = CayleyCache()
+
+
+@DETERMINISTIC
+@given(
+    # 6, 24 and 48 are the orders of SL(2, Z_n) for n = 2, 3, 4: exact fits.
+    v=st.sampled_from((6, 24, 48)) | st.integers(1, 60),
+    scheme=st.sampled_from(SCHEMES),
+    depth=st.integers(1, 4),
+    data=st.data(),
+)
+def test_plans_follow_their_scheme(v, scheme, depth, data):
+    g = data.draw(graphs_on(v))
+    plan = build_plan(g, scheme, depth, cache=PLAN_CACHE)
+    if scheme in CGP_SCHEMES:
+        m = sl2_order(smallest_modulus(v))
+    else:
+        m = v + 1 if scheme == "MasterNode" else v
+    assert plan.original_count == v
+    assert plan.extended_count == m
+    assert (plan.modulus is None) == (scheme not in CAYLEY_SCHEMES)
+    assert plan.virtual_range == (v, m)
+    layers = range(1, depth + 1)
+    assert plan.layer_kinds == tuple(SCHEDULES[scheme](k, depth) for k in layers)
+    assert [h.node_count for h in plan.layer_graphs] == [m] * depth
+    if scheme in CGP_SCHEMES:
+        assert plan.input_template.edges == g.edges
+        assert plan.input_template.self_loops == g.self_loops | set(range(v, m))
+    if sl2_order(smallest_modulus(v)) == v:
+        cgp, egp = (build_plan(g, s, depth, cache=PLAN_CACHE) for s in ("CGP", "EGP"))
+        assert cgp.layer_graphs == egp.layer_graphs
 
 
 # A drawn graph joined to spanning trees over its first k nodes, often all
