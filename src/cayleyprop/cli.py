@@ -346,15 +346,20 @@ def cmd_train(args) -> int:
     return EXIT_RUNTIME if failed else EXIT_OK
 
 
-def _aggregate_curve_csv(rows) -> str:
+def _curve_groups(rows) -> dict[tuple[str, int], list]:
+    """The rows of each (structure, train size), in sorted key order."""
     groups: dict[tuple[str, int], list] = {}
     for r in rows:
         groups.setdefault((r.structure, r.train_size), []).append(r)
+    return dict(sorted(groups.items()))
+
+
+def _aggregate_curve_csv(rows) -> str:
     lines = [
         "structure,train_size,seeds,mean_train_error,std_train_error,"
         "mean_test_error,std_test_error"
     ]
-    for (structure, size), grp in sorted(groups.items()):
+    for (structure, size), grp in _curve_groups(rows).items():
         tr = np.array([g.train_error for g in grp])
         te = np.array([g.test_error for g in grp])
         lines.append(
@@ -418,14 +423,11 @@ def _plot_sweep(plt, rows, path: str) -> None:
 
 def _plot_curves(plt, rows, path: str) -> None:
     fig, ax = plt.subplots(figsize=(6, 4))
-    groups: dict[str, dict[int, list[float]]] = {}
-    for r in rows:
-        groups.setdefault(r.structure, {}).setdefault(r.train_size, []).append(
-            r.test_error
-        )
-    for structure, by_size in sorted(groups.items()):
-        sizes = sorted(by_size)
-        ax.plot(sizes, [float(np.mean(by_size[s])) for s in sizes], marker="o", label=structure)
+    groups = _curve_groups(rows)
+    for structure in sorted({s for s, _ in groups}):
+        sizes = [n for s, n in groups if s == structure]
+        errors = [float(np.mean([r.test_error for r in groups[structure, n]])) for n in sizes]
+        ax.plot(sizes, errors, marker="o", label=structure)
     ax.set_xscale("log")
     ax.set_xlabel("training samples")
     ax.set_ylabel("mean test error")

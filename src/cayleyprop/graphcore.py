@@ -111,7 +111,7 @@ class UGraph:
         """A graph from parts already in the form __init__ leaves them, taken
         as they are and not checked: edges a sorted tuple of distinct (u, v),
         u < v < node_count, and self_loops a frozenset of nodes. Only graphs
-        derived from a validated one are built here."""
+        derived from a validated one or read by parse_edge_list build here."""
         g = object.__new__(cls)
         g.node_count = node_count
         g.edges = edges
@@ -213,15 +213,16 @@ def induced_prefix_subgraph(g: UGraph, v: int) -> UGraph:
 
 
 def parse_edge_list(text: str, allow_self_loops: bool = False) -> UGraph:
+    """One pass: each line is checked as it is read, and the first bad one is refused."""
     declared_n: int | None = None
-    pairs: list[tuple[int, int, int]] = []  # (u, v, line_no)
+    edges: dict[tuple[int, int], None] = {}  # ordered set: sorted input sorts in one pass
+    loops: set[int] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) == 1:
-            if declared_n is not None or pairs:
+            if declared_n is not None or edges or loops:
                 raise EdgeListParseError(
                     line_no, "node-count line allowed only as the first line"
                 )
@@ -240,19 +241,8 @@ def parse_edge_list(text: str, allow_self_loops: bool = False) -> UGraph:
             raise EdgeListParseError(line_no, f"non-integer ids in {raw!r}")
         if u < 0 or v < 0:
             raise EdgeListParseError(line_no, "negative node id")
-        pairs.append((u, v, line_no))
-
-    if declared_n is None:
-        declared_n = max((max(u, v) for u, v, _ in pairs), default=-1) + 1
-
-    edges: list[tuple[int, int]] = []
-    loops: set[int] = set()
-    seen: set[tuple[int, int]] = set()
-    for u, v, line_no in pairs:
-        if max(u, v) >= declared_n:
-            raise EdgeListParseError(
-                line_no, f"id {max(u, v)} >= node count {declared_n}"
-            )
+        if declared_n is not None and max(u, v) >= declared_n:
+            raise EdgeListParseError(line_no, f"id {max(u, v)} >= node count {declared_n}")
         if u == v:
             if not allow_self_loops:
                 raise EdgeListParseError(
@@ -263,11 +253,12 @@ def parse_edge_list(text: str, allow_self_loops: bool = False) -> UGraph:
             loops.add(u)
             continue
         key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if key in edges:
             raise EdgeListParseError(line_no, f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append(key)
-    return UGraph(declared_n, edges, loops)
+        edges[key] = None
+    if declared_n is None:
+        declared_n = max({v for _, v in edges} | loops, default=-1) + 1
+    return UGraph._derived(declared_n, tuple(sorted(edges)), frozenset(loops))
 
 
 def emit_edge_list(g: UGraph) -> str:

@@ -295,8 +295,6 @@ class _Run:
         every sample of a stack of two or more, the run's shared, read-only
         (1, m, m), which np.matmul broadcasts over the stack."""
         g = graphs[0]
-        m = g.node_count
-        _check_dense(m, "a dense layer operator")
         shared = len(graphs) > 1 and all(h is g for h in graphs)
         if shared:
             if (id(g), kind) in self._shared:
@@ -311,7 +309,7 @@ class _Run:
                 memo[id(h)] = (h, positions[k], None if values is None else values[k])
             held = [memo[id(h)] for h in graphs]
         values = None if kind == "gin" else [e[2] for e in held]
-        ops = _scatter([e[1] for e in held], values, m)
+        ops = _scatter([e[1] for e in held], values, g.node_count)
         if shared:
             ops.flags.writeable = False
             self._shared[id(g), kind] = (g, ops)
@@ -328,26 +326,39 @@ class _Run:
         return buf[:size].reshape(shape)
 
 
-def _stacks(plans: list[PropagationPlan], params: ModelParams, samples):
-    """Check an engine call, then yield the plans and samples of each stack:
-    a run of consecutive samples whose plans share an original and an
-    extended count, cut every STACK_SAMPLES samples. plans and samples pair
-    up elementwise, and every plan schedules the model's layers."""
-    if not samples:
+def _stacks(plans: list[PropagationPlan], params: ModelParams, xs: list):
+    """Check an engine call, then yield the slice of each stack: a run of
+    consecutive samples whose plans share an original and an extended count,
+    cut every STACK_SAMPLES samples. Each plan schedules the model's layers
+    and pairs with an (original count, input features) array of xs, and no
+    operator passes the dense cap."""
+    if not xs:
         raise ValueError("no samples")
-    if len(plans) != len(samples):
-        raise ValueError(f"{len(plans)} plans for {len(samples)} samples")
+    if len(plans) != len(xs):
+        raise ValueError(f"{len(plans)} plans for {len(xs)} samples")
     other_depths = {plan.num_layers for plan in plans} - {len(params.layers)}
     if other_depths:
         raise ValueError(
             f"model has {len(params.layers)} layers, plan schedules "
             f"{min(other_depths)}"
         )
+    first = params.layers[0]
+    in_dim = (first.w1 if first.kind == "gin" else first.w).shape[0]
+    for plan, x in zip(plans, xs):
+        if not isinstance(x, np.ndarray):
+            raise ValueError(f"features must be an array, got {type(x).__name__}")
+        if x.shape != (plan.original_count, in_dim):
+            raise ValueError(
+                f"features of shape {x.shape} do not match the plan's "
+                f"{plan.original_count} original nodes and the model's "
+                f"{in_dim} input features"
+            )
+    _check_dense(max(plan.extended_count for plan in plans), "a dense layer operator")
     counts = [(plan.original_count, plan.extended_count) for plan in plans]
     start = 0
     for i in range(1, len(plans) + 1):
         if i == len(plans) or i - start == STACK_SAMPLES or counts[i] != counts[start]:
-            yield plans[start:i], samples[start:i]
+            yield slice(start, i)
             start = i
 
 
@@ -434,18 +445,16 @@ def _stack_layer_backward(i: int, dout, cache, ops, p, total, run: _Run):
 def _stack_forward(
     plans: list[PropagationPlan], params: ModelParams, xs, run: _Run
 ) -> tuple:
-    """Forward pass of a stack of samples, as _stacks yields them.
+    """Forward pass of one stack of a call that _stacks has checked.
 
     Returns the final embeddings (s, m, hidden), each sample's readout row
     sum (s, hidden), the logits and each layer's (operators, cache), the
     operators as _Run.operator gives them.
     """
     s, rows, m = len(plans), plans[0].original_count, plans[0].extended_count
-    first = params.layers[0]
-    in_dim = (first.w1 if first.kind == "gin" else first.w).shape[0]
-    h = run.buffer("x", (s, m, in_dim))
+    h = run.buffer("x", (s, m, xs[0].shape[1]))
     h[:, rows:] = 0.0
-    _copy_features(xs, h[:, :rows])
+    np.stack(xs, out=h[:, :rows], casting="unsafe")
     layers = []
     for i, layer in enumerate(params.layers):
         ops = run.operator([plan.layer_graphs[i] for plan in plans], layer.kind)
@@ -458,25 +467,6 @@ def _stack_forward(
     w, b = params.readout_w, float(params.readout_b)
     logits = [float(row_sum.dot(w)) + b for row_sum in sums]
     return h, sums, logits, layers
-
-
-def _copy_features(xs, out: np.ndarray) -> None:
-    """Copy each sample's features into its slot of out, an (s, rows, F)
-    view, read as np.asarray(x, dtype=np.float64) reads them."""
-    try:
-        np.stack(xs, out=out, casting="unsafe")
-    except ValueError:
-        # A shape other than (rows, F): np.atleast_2d still takes a 1-D row
-        # for a one-node graph; anything else is refused by name.
-        xs = [np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in xs]
-        for x in xs:
-            if x.shape != out.shape[1:]:
-                raise ValueError(
-                    f"features of shape {x.shape} do not match the plan's "
-                    f"{out.shape[1]} original nodes and the model's "
-                    f"{out.shape[2]} input features"
-                ) from None
-        np.stack(xs, out=out)
 
 
 def _stack_backward(
@@ -505,8 +495,8 @@ def relu_kink_margin(plan: PropagationPlan, params: ModelParams, x: np.ndarray) 
     the probe step; a margin near zero means the loss is not differentiable
     at the current parameters.
     """
-    ((plans, xs),) = _stacks([plan], params, [x])
-    _, _, _, layers = _stack_forward(plans, params, xs, _Run())
+    (_,) = _stacks([plan], params, [x])
+    _, _, _, layers = _stack_forward([plan], params, [x], _Run())
     return min(float(np.abs(cache[-1]).min()) for _, cache in layers)
 
 
@@ -529,14 +519,15 @@ def loss_and_grads(
     vector laid out as params.vec."""
     total = 0.0
     grads = params._over(np.zeros_like(params.vec))
-    for stack, part in _stacks(plans, params, batch):
-        _, sums, logits, layers = _stack_forward(stack, params, [x for x, _ in part], run)
+    xs = [x for x, _ in batch]
+    for part in _stacks(plans, params, xs):
+        _, sums, logits, layers = _stack_forward(plans[part], params, xs[part], run)
         dzs = []
-        for z, (_, label) in zip(logits, part):
+        for z, (_, label) in zip(logits, batch[part]):
             value, dz = _loss_and_dz(z, label)
             total += value
             dzs.append(dz)
-        _stack_backward(stack, params, sums, layers, dzs, grads, run)
+        _stack_backward(plans[part], params, sums, layers, dzs, grads, run)
     scale = 1.0 / len(batch)
     mean_loss = total * scale
     if not math.isfinite(mean_loss):
@@ -768,9 +759,10 @@ def error_rate(
     """Share of samples whose logit falls on the wrong side of zero; plans
     and samples pair up elementwise."""
     wrong = 0
-    for stack, part in _stacks(plans, params, samples):
-        _, _, logits, _ = _stack_forward(stack, params, [s.features for s in part], run)
-        for z, sample in zip(logits, part):
+    xs = [s.features for s in samples]
+    for part in _stacks(plans, params, xs):
+        _, _, logits, _ = _stack_forward(plans[part], params, xs[part], run)
+        for z, sample in zip(logits, samples[part]):
             if not math.isfinite(z):
                 raise TrainingDiverged(f"non-finite logit {z}")
             wrong += int((z > 0.0) != bool(sample.label))
@@ -781,7 +773,9 @@ def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[Cu
     """Learning curve over config.train_sizes on nested training subsets.
 
     plan_builder maps a graph to its PropagationPlan; equal graphs share one
-    plan, and every plan must follow config.scheme. The call makes one
+    plan, and every plan must follow config.scheme and config.num_layers.
+    Every size and plan is checked before the first step: the plans of the
+    largest size are built, and each size takes a prefix. The call makes one
     _Run, which builds each template's operator entries once per kind and
     is dropped when the call returns. A run whose loss, gradients, final
     parameters or evaluation logits stop being finite is recorded as failed
@@ -789,29 +783,30 @@ def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[Cu
     """
     if not dataset.test:
         raise ValueError("the dataset has no test samples")
+    largest = max(config.train_sizes)
+    if largest > len(dataset.train):
+        raise ValueError(
+            f"train size {largest} exceeds the {len(dataset.train)} generated samples"
+        )
 
     @functools.cache
     def plan_for(g: UGraph) -> PropagationPlan:
         plan = plan_builder(g)
-        if plan.scheme != config.scheme:
+        if (plan.scheme, plan.num_layers) != (config.scheme, config.num_layers):
             raise ValueError(
-                f"the plan builder gives {plan.scheme} plans, the config names "
-                f"scheme {config.scheme}"
+                f"the plan builder gives {plan.scheme} plans of {plan.num_layers} layers, "
+                f"the config names scheme {config.scheme} and {config.num_layers} layers"
             )
         return plan
 
     test_plans = [plan_for(s.graph) for s in dataset.test]
+    train_plans = [plan_for(s.graph) for s in dataset.train[:largest]]
     run = _Run()
-    feature_dim = dataset.train[0].features.shape[1] if dataset.train else 0
+    feature_dim = dataset.train[0].features.shape[1]
     rows = []
     for size in config.train_sizes:
-        if size > len(dataset.train):
-            raise ValueError(
-                f"train size {size} exceeds the {len(dataset.train)} "
-                "generated samples"
-            )
         subset = dataset.train[:size]
-        subset_plans = [plan_for(s.graph) for s in subset]
+        subset_plans = train_plans[:size]
         rng = np.random.default_rng([config.seed, _SEED_TAG_INIT, size])
         params = init_params(
             rng, config.layer_kind, feature_dim, config.hidden_dim, config.num_layers

@@ -519,8 +519,8 @@ def model_forward(
 ) -> tuple[np.ndarray, float]:
     """The engine's forward pass of one sample: its final embeddings and
     its prediction logit (or regression value)."""
-    ((plans, xs),) = nn._stacks([plan], params, [x])
-    h, _, (z,), _ = nn._stack_forward(plans, params, xs, nn._Run())
+    (_,) = nn._stacks([plan], params, [x])
+    h, _, (z,), _ = nn._stack_forward([plan], params, [x], nn._Run())
     return h[0].copy(), z
 
 

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -786,6 +787,96 @@ class TestTrainCommand:
             capsys,
         )
         assert code == 1
+
+
+@pytest.fixture()
+def pyplot_axes(monkeypatch):
+    """Recording stand-ins for matplotlib and matplotlib.pyplot; returns the
+    list of every axes that plt.subplots makes. Each axes keeps its calls as
+    (method, args, kwargs), and savefig writes a placeholder file."""
+    made = []
+
+    class Axes:
+        def __init__(self):
+            self.calls = []
+
+        def __getattr__(self, name):
+            return lambda *args, **kwargs: self.calls.append((name, args, kwargs))
+
+        def called(self, name):
+            return [(args, kwargs) for n, args, kwargs in self.calls if n == name]
+
+    class Figure:
+        def tight_layout(self):
+            pass
+
+        def savefig(self, path):
+            Path(path).write_text("<svg/>\n")
+
+    def subplots(nrows=1, ncols=1, **kwargs):
+        axes = [Axes() for _ in range(nrows * ncols)]
+        made.extend(axes)
+        return Figure(), axes[0] if len(axes) == 1 else tuple(axes)
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = subplots
+    pyplot.close = lambda fig: None
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.use = lambda backend: None
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return made
+
+
+class TestPlot:
+    def test_sweep_plot_marks_each_complete_size(self, capsys, tmp_path, pyplot_axes):
+        out, plot, manifest = (str(tmp_path / f) for f in ("s.csv", "s.svg", "m.json"))
+        code, _, _ = run(
+            ["sweep", "--v-min", "20", "--v-max", "50", "--out", out,
+             "--plot", plot, "--manifest", manifest],
+            capsys,
+        )
+        assert code == 0
+        assert Path(plot).read_text() == "<svg/>\n"
+        assert json.loads(Path(manifest).read_text())["outputs"] == [out, plot]
+        # One curve per axes over every row, and a line at 24 and 48 nodes.
+        assert len(pyplot_axes) == 2
+        for ax in pyplot_axes:
+            ((args, _),) = ax.called("plot")
+            assert args[0] == list(range(20, 51))
+            assert [args[0] for args, _ in ax.called("axvline")] == [24, 48]
+
+    def test_train_plot_draws_the_aggregate_test_error(
+        self, capsys, tmp_path, pyplot_axes
+    ):
+        out, plot = str(tmp_path / "c.csv"), str(tmp_path / "c.svg")
+        code, _, _ = run(
+            ["train", "--structures", "Star,Empty", "--seeds", "0,1",
+             "--train-sizes", "8,4", "--test-size", "4", "--epochs", "1",
+             "--hidden", "4", "--out", out, "--plot", plot,
+             "--manifest", str(tmp_path / "m.json")],
+            capsys,
+        )
+        assert code == 0
+        assert Path(plot).read_text() == "<svg/>\n"
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        assert manifest["outputs"] == [out, str(tmp_path / "c.agg.csv"), plot]
+        agg = (tmp_path / "c.agg.csv").read_text().splitlines()
+        column = agg[0].split(",").index("mean_test_error")
+        want = {}
+        for line in agg[1:]:
+            fields = line.split(",")
+            sizes, errors = want.setdefault(fields[0], ([], []))
+            sizes.append(int(fields[1]))
+            errors.append(fields[column])
+        (ax,) = pyplot_axes
+        drawn = {
+            kwargs["label"]: (sizes, [f"{e:.6f}" for e in errors])
+            for (sizes, errors), kwargs in ax.called("plot")
+        }
+        assert len(ax.called("plot")) == 2
+        assert drawn == want
 
 
 class TestBench:

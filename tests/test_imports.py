@@ -1,6 +1,8 @@
 """numpy is the package's only runtime dependency outside the standard
 library; matplotlib is imported lazily, for --plot only. Every function
-at module level is referred to in the package, or listed with its reason."""
+at module level, and every method and property of a class at module level
+other than the dunders, is referred to in the package, or listed with its
+reason."""
 
 import ast
 import sys
@@ -42,12 +44,14 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
     assert {"numpy", "matplotlib"} <= seen
 
 
-# Module-level functions that nothing in the package refers to, each with
-# the reason it stays in the package rather than in tests/oracles.py.
+# Functions, methods and properties that nothing in the package refers to,
+# each with the reason it stays in the package rather than in
+# tests/oracles.py.
 UNREFERENCED = {
     "propagation.extend_features": "perfbench/spans.py wraps it by name (ROADMAP item 1)",
-    "nn.relu_kink_margin": "train --trace is to report it (ROADMAP item 4)",
-    "spectral.dirichlet_energy": "train --trace is to report it (ROADMAP item 4)",
+    "graphcore.UGraph.bfs_distances": "perfbench/spans.py wraps it by name (ROADMAP item 1b)",
+    "nn.relu_kink_margin": "train --trace is to report it (ROADMAP item 6)",
+    "spectral.dirichlet_energy": "train --trace is to report it (ROADMAP item 6)",
 }
 
 
@@ -64,17 +68,31 @@ def _references(tree) -> Counter:
     return found
 
 
+def _definitions(tree):
+    """(dotted name, def) of every function at module level and of every
+    method and property, dunders aside, of a class at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield f"{node.name}.{member.name}", member
+
+
 def test_every_package_function_is_referred_to_in_the_package():
-    # A function only tests call belongs in tests/oracles.py. Methods are
-    # not checked: perfbench wraps some by name.
+    # A function, method or property only tests use belongs in
+    # tests/oracles.py. A method counts as referred to when any attribute of
+    # its name is, on whatever object.
     trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE_DIR.glob("*.py")}
     everywhere = sum(map(_references, trees.values()), Counter())
     unreferenced = [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for name, node in _definitions(tree)
         # a reference inside the function's own def is not a caller
-        and everywhere[node.name] == _references(node)[node.name]
+        if everywhere[node.name] == _references(node)[node.name]
     ]
     assert sorted(unreferenced) == sorted(UNREFERENCED)

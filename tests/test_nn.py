@@ -385,13 +385,13 @@ class TestStackedEngine:
             for o, e in counts
         ]
         params = init_params(np.random.default_rng(0), "gin", 1, 1, 1)
-        samples = list(range(len(plans)))
+        xs = [np.zeros((o, 1)) for o, _ in counts]
         cuts = [
             (0, n), (n, n + 2), (n + 2, n + 3), (n + 3, n + 5), (n + 5, n + 6),
             (n + 6, n + 8), (n + 8, n + 9),
         ]
-        assert list(nn._stacks(plans, params, samples)) == [
-            (plans[start:stop], samples[start:stop]) for start, stop in cuts
+        assert list(nn._stacks(plans, params, xs)) == [
+            slice(start, stop) for start, stop in cuts
         ]
 
     def test_a_plan_of_another_depth_is_refused_before_any_stack_runs(
@@ -420,6 +420,32 @@ class TestStackedEngine:
             nn.error_rate(plans, params, samples, nn._Run())
         with pytest.raises(ValueError, match=message):
             relu_kink_margin(plans[-1], params, x)
+        assert stacks == []
+
+    def test_bad_features_in_the_last_stack_are_refused_before_any_stack_runs(
+        self, monkeypatch
+    ):
+        # Two full stacks and a third of 9 samples, whose last sample has one
+        # input feature for a model of two.
+        n = nn.STACK_SAMPLES
+        g = UGraph(3, [(0, 1)])
+        plans = [build_plan(g, "Base", 1)] * (2 * n + 9)
+        params = init_params(np.random.default_rng(0), "gin", 2, 3, 1)
+        xs = [np.ones((3, 2))] * (len(plans) - 1) + [np.ones((3, 1))]
+        stacks = []
+        stack_forward = nn._stack_forward
+
+        def counting(stack, *args):
+            stacks.append(len(stack))
+            return stack_forward(stack, *args)
+
+        monkeypatch.setattr(nn, "_stack_forward", counting)
+        message = re.escape("features of shape (3, 1) do not match")
+        with pytest.raises(ValueError, match=message):
+            loss_and_grads(plans, params, [(x, 1.0) for x in xs], nn._Run())
+        samples = [nn.SumTaskSample(g, x, 1) for x in xs]
+        with pytest.raises(ValueError, match=message):
+            nn.error_rate(plans, params, samples, nn._Run())
         assert stacks == []
 
     @pytest.mark.parametrize(
@@ -509,17 +535,23 @@ class TestStackedEngine:
         with pytest.raises(ValueError, match=f"{n} nodes.*{DENSE_NODE_CAP}"):
             loss_and_grads([plan], params, [(np.ones((n, 1)), 1.0)], nn._Run())
 
-    def test_features_are_read_as_float64_rows(self):
-        # Lists, ints and a 1-D row for a one-node graph are read as
-        # np.asarray(x, dtype=np.float64) and np.atleast_2d read them.
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ([[1.0, -2.0]], "features must be an array, got list"),
+            (np.array([1.0, -2.0]), "features of shape (2,) do not match"),
+        ],
+        ids=["list", "row"],
+    )
+    def test_features_that_are_not_arrays_of_the_plan_rows_are_refused(
+        self, x, message
+    ):
+        # A one-node graph's features are one (1, F) row, as an array.
         plan = build_plan(UGraph(1), "Base", 1)
         params = init_params(np.random.default_rng(0), "gin", 2, 3, 1)
-        row = np.array([[1.0, -2.0]])
-        loss, g = loss_and_grads([plan] * 2, params, [(row, 1.0)] * 2, nn._Run())
-        for x in ([[1, -2]], np.array([1, -2]), [1.0, -2.0]):
-            got, got_g = loss_and_grads([plan] * 2, params, [(x, 1.0)] * 2, nn._Run())
-            assert got == loss
-            assert got_g.tobytes() == g.tobytes()
+        batch = [(np.array([[1.0, -2.0]]), 1.0), (x, 1.0)]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            loss_and_grads([plan] * 2, params, batch, nn._Run())
 
 
 class TestErrorRate:
@@ -863,6 +895,50 @@ class TestTrain:
         config = TrainConfig(epochs=1, hidden_dim=4, scheme="CGP", train_sizes=(4,))
         with pytest.raises(ValueError, match="Base plans.*scheme CGP"):
             train(scheme_plan_builder("Base", 1), ds, config)
+        assert steps == []
+
+    @pytest.fixture()
+    def steps(self, monkeypatch):
+        """The batch size of every loss_and_grads call that train makes."""
+        sizes = []
+        real = nn.loss_and_grads
+
+        def counting(plans, *args):
+            sizes.append(len(plans))
+            return real(plans, *args)
+
+        monkeypatch.setattr(nn, "loss_and_grads", counting)
+        return sizes
+
+    def test_a_train_size_over_the_dataset_is_refused_before_the_first_step(
+        self, steps
+    ):
+        ds = gen_sum_task("Empty", 4, seed=0, test_size=2)
+        config = TrainConfig(epochs=3, hidden_dim=4, train_sizes=(2, 10))
+        with pytest.raises(ValueError, match="train size 10 exceeds the 4 generated"):
+            train(scheme_plan_builder("Base", 1), ds, config)
+        assert steps == []
+
+    @pytest.mark.parametrize(
+        "scheme, layers, message",
+        [("CGP", 1, "CGP plans.*scheme Base"), ("Base", 2, "of 2 layers")],
+        ids=["scheme", "depth"],
+    )
+    def test_a_bad_plan_of_the_larger_size_is_refused_before_the_first_step(
+        self, steps, scheme, layers, message
+    ):
+        # Only the last sample's plan is bad, and only size 4 takes it.
+        ds = gen_sum_task("BA", 4, seed=0, test_size=2)
+        last = ds.train[-1].graph
+
+        def builder(g):
+            if g is last:
+                return build_plan(g, scheme, layers)
+            return build_plan(g, "Base", 1)
+
+        config = TrainConfig(epochs=1, hidden_dim=4, train_sizes=(2, 4))
+        with pytest.raises(ValueError, match=message):
+            train(builder, ds, config)
         assert steps == []
 
 

@@ -478,6 +478,41 @@ def test_a_malformed_edge_list_is_refused_at_its_line(case):
     assert info.value.line_no == line
 
 
+@st.composite
+def twice_corrupted_edge_lists(draw):
+    """(text, allow_self_loops, line): a corrupted_edge_lists case with a
+    second bad line inserted after the count line, one that is bad wherever
+    it stands (an id at the count, a negative id, a count line, three tokens
+    or a non-integer token), and the number of the earlier bad line."""
+    text, allow_self_loops, line = draw(corrupted_edge_lists())
+    lines = text.splitlines()
+    n = int(lines[0])
+    node = st.integers(0, n - 1)
+    token = st.text("0123456789+-.ex", min_size=1, max_size=4).filter(
+        lambda t: not re.fullmatch(r"[+-]?\d+", t)
+    )
+    ids = draw(
+        st.tuples(node, st.just(n))
+        | st.tuples(node, st.integers(-(2**70), -1))
+        | st.tuples(st.integers(0, 60))
+        | st.tuples(node, node, node)
+        | st.tuples(node, token)
+    )
+    at = draw(st.integers(1, len(lines)))
+    lines.insert(at, " ".join(map(str, ids)))
+    return "\n".join(lines) + "\n", allow_self_loops, min(at + 1, line)
+
+
+@DETERMINISTIC
+@given(case=twice_corrupted_edge_lists())
+def test_an_edge_list_with_two_bad_lines_is_refused_at_the_earlier(case):
+    # Each line is checked as it is read, whatever the second one's fault.
+    text, allow_self_loops, line = case
+    with pytest.raises(EdgeListParseError) as info:
+        parse_edge_list(text, allow_self_loops=allow_self_loops)
+    assert info.value.line_no == line
+
+
 # The layer kind of layer 1..depth under each scheme, as the propagation
 # module's docstring gives it.
 SCHEDULES = {

@@ -415,6 +415,26 @@ class TestSweep:
         assert len(lines) == 4
         assert lines[2].startswith("24,3,true,")
 
+    @pytest.mark.slow
+    def test_every_truncation_in_the_sweep_range_expands_less_than_its_group(self):
+        # The source paper's claim: a truncated Cayley template has a smaller
+        # spectral gap than its complete group. Rows 337..360 truncate
+        # modulus 8, whose complete order, 384, lies past the range, so each
+        # complete gap comes from analyze on the whole group.
+        cache = CayleyCache()
+        rows = expansion_sweep(6, 360, cache=cache)
+        complete = {
+            n: analyze(cache.graph(n)).spectral_gap for n in {r.modulus for r in rows}
+        }
+        truncated = [r for r in rows if not r.is_complete]
+        assert len(truncated) == 349
+        above = [
+            (r.v, r.spectral_gap, complete[r.modulus])
+            for r in truncated
+            if not r.spectral_gap < complete[r.modulus]
+        ]
+        assert above == []
+
     def test_v_min_guard(self):
         with pytest.raises(ValueError):
             expansion_sweep(1, 5)
