@@ -8,19 +8,19 @@ slice as one sample alone would, and each array's per-sample gradients are
 added into the batch total in sample order, so a batch gives the bytes of
 the one-sample-at-a-time path (kept as the test oracle). Each engine call
 is checked once, before its first stack runs. A layer's operator
-is the dense (m, m) matrix of its template, and every template's is kept as
-the flat positions of its nonzeros, plus their values for GCN: a stack's
-(s, m, m) operators are scattered from them, so the memory a run holds per
-template grows with its edges, not with m^2. A layer whose template is one
-graph for the whole stack passes its one (1, m, m) operator, built once per
-run, which np.matmul broadcasts over the stack. Every parameter array is a
-view of one flat vector; the batch gradient is one vector in the same
-layout, averaged over the batch, and Adam steps the whole vector with the
-per-array arithmetic. A training run passes one _Run, which holds the
-operator entries, the shared operators and the buffers that each stack's
-arrays are written into, to every engine call. No batch normalization: the
-graphs here are tiny and exact gradient checks matter more than large-scale
-training tricks.
+is the dense (m, m) matrix of its template, and every template's is built
+from that template alone and kept as the flat positions of its nonzeros,
+plus their values for GCN: a stack's (s, m, m) operators are scattered from
+them, so the memory a run holds per template grows with its edges, not with
+m^2. A layer whose template is one graph for the whole stack passes its one
+(1, m, m) operator, built once per run, which np.matmul broadcasts over the
+stack. Every parameter array is a view of one flat vector; the batch
+gradient is one vector in the same layout, averaged over the batch, and
+Adam steps the whole vector with the per-array arithmetic. A training run
+passes one _Run, which holds one memo of operators, keyed by template and
+kind, and the buffers that each stack's arrays are written into, to every
+engine call. No batch normalization: the graphs here are tiny and exact
+gradient checks matter more than large-scale training tricks.
 """
 
 from __future__ import annotations
@@ -158,9 +158,6 @@ class ModelParams:
         """This layout over buf, which is not copied."""
         return copy.copy(self)._bind(buf)
 
-    def copy(self) -> "ModelParams":
-        return self._over(self.vec.copy())
-
 
 def _views(buf: np.ndarray, layout):
     """(name, view) of the flat buf cut into layout's (name, shape) arrays
@@ -226,41 +223,29 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
-def _operator_entries(graphs: list[UGraph], kind: str) -> tuple[list, list | None]:
-    """Per graph, the flat positions of its layer operator's nonzeros in the
+def _operator_entries(g: UGraph, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The flat positions of the nonzeros of g's layer operator in the
     (m, m) matrix, as int32 (m <= DENSE_NODE_CAP), and their values, which
-    are None for GIN: its nonzeros are all 1.0. The graphs share m, and one
-    pass reads all their edge tuples.
+    are None for GIN: its nonzeros are all 1.0.
 
     GIN has 1.0 at (u, v) and (v, u) for every edge, and at (u, u) for a
     flagged self-loop. GCN, D^-1/2 (A + I) D^-1/2, has d_u^-1/2 d_v^-1/2
     there and on the whole diagonal, d_u the degree of u plus one; flagged
     self-loops do not count. Each value rounds as the dense product does.
     """
-    s, m = len(graphs), graphs[0].node_count
-    edges = [len(g.edges) for g in graphs]
-    flat = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
-    uv = np.fromiter(flat, np.intp, 2 * sum(edges)).reshape(-1, 2)
+    m = g.node_count
+    uv = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * len(g.edges)).reshape(-1, 2)
     if kind == "gin":
-        loops = [len(g.self_loops) for g in graphs]
-        flat = chain.from_iterable(g.self_loops for g in graphs)
-        diagonal = np.fromiter(flat, np.intp, sum(loops))
+        diagonal = np.fromiter(g.self_loops, np.intp, len(g.self_loops))
     else:
-        loops = [m] * s
-        diagonal = np.tile(np.arange(m), s)
+        diagonal = np.arange(m)
     u = np.concatenate((uv[:, 0], uv[:, 1], diagonal))
     v = np.concatenate((uv[:, 1], uv[:, 0], diagonal))
-    of = np.repeat(np.tile(np.arange(s), 3), edges + edges + loops)
-    # Each graph's entries in one contiguous run, in graph order.
-    order = np.argsort(of, kind="stable")
-    cuts = np.cumsum([2 * e + l for e, l in zip(edges, loops)])[:-1]
-    positions = np.split((u * m + v)[order].astype(np.int32), cuts)
+    positions = (u * m + v).astype(np.int32)
     if kind == "gin":
         return positions, None
-    u += of * m
-    v += of * m
-    inv_sqrt = 1.0 / np.sqrt(np.bincount(u, minlength=s * m) + 0.0)
-    return positions, np.split((inv_sqrt[u] * inv_sqrt[v])[order], cuts)
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(u, minlength=m) + 0.0)
+    return positions, inv_sqrt[u] * inv_sqrt[v]
 
 
 def _scatter(positions: list, values: list | None, m: int) -> np.ndarray:
@@ -274,19 +259,17 @@ def _scatter(positions: list, values: list | None, m: int) -> np.ndarray:
 
 
 class _Run:
-    """The state of one training run: the entries of each (template, kind)
-    layer operator, the dense operator of each template that a stack shares,
-    and the buffers every stack writes its arrays into; each is built once
-    and dropped with the run. A template that samples do not share keeps
-    only its entries, O(edges), and its stacks are scattered from them."""
+    """The state of one training run: one memo of layer operators, and the
+    buffers every stack writes its arrays into; each entry is built once
+    and dropped with the run. The memo holds, per (template, kind), the
+    operator's entries, O(edges), from which a stack's (s, m, m) operators
+    are scattered, and the dense operator once a stack has shared it."""
 
     def __init__(self) -> None:
-        # kind -> id(template) -> (template, positions, values), and
-        # (id(template), kind) -> (template, operator): each value holds its
-        # template, so the id cannot pass to another graph while the run
-        # exists.
-        self._entries = {kind: {} for kind in LAYER_KINDS}
-        self._shared = {}
+        # (id(template), kind) -> (template, positions, values, shared
+        # operator or None): each value holds its template, so the id cannot
+        # pass to another graph while the run exists.
+        self._operators = {}
         self._buffers = {}
 
     def operator(self, graphs: list[UGraph], kind: str) -> np.ndarray:
@@ -296,23 +279,18 @@ class _Run:
         (1, m, m), which np.matmul broadcasts over the stack."""
         g = graphs[0]
         shared = len(graphs) > 1 and all(h is g for h in graphs)
-        if shared:
-            if (id(g), kind) in self._shared:
-                return self._shared[id(g), kind][1]
-            graphs = [g]
-        memo = self._entries[kind]
-        held = [memo.get(id(h)) for h in graphs]
-        if None in held:
-            missing = {id(h): h for h, e in zip(graphs, held) if e is None}
-            positions, values = _operator_entries(list(missing.values()), kind)
-            for k, h in enumerate(missing.values()):
-                memo[id(h)] = (h, positions[k], None if values is None else values[k])
-            held = [memo[id(h)] for h in graphs]
+        held = []
+        for h in graphs[:1] if shared else graphs:
+            if (id(h), kind) not in self._operators:
+                self._operators[id(h), kind] = (h, *_operator_entries(h, kind), None)
+            held.append(self._operators[id(h), kind])
+        if shared and held[0][3] is not None:
+            return held[0][3]
         values = None if kind == "gin" else [e[2] for e in held]
         ops = _scatter([e[1] for e in held], values, g.node_count)
         if shared:
             ops.flags.writeable = False
-            self._shared[id(g), kind] = (g, ops)
+            self._operators[id(g), kind] = (*held[0][:3], ops)
         return ops
 
     def buffer(self, key, shape: tuple) -> np.ndarray:
@@ -324,6 +302,19 @@ class _Run:
         if buf is None or buf.size < size:
             buf = self._buffers[key] = np.empty(STACK_SAMPLES * math.prod(shape[1:]))
         return buf[:size].reshape(shape)
+
+
+def _check_features(plans: list[PropagationPlan], xs, in_dim: int) -> None:
+    """Each of xs is an (original count of its plan, in_dim) array."""
+    for plan, x in zip(plans, xs):
+        if not isinstance(x, np.ndarray):
+            raise ValueError(f"features must be an array, got {type(x).__name__}")
+        if x.shape != (plan.original_count, in_dim):
+            raise ValueError(
+                f"features of shape {x.shape} do not match the plan's "
+                f"{plan.original_count} original nodes and the model's "
+                f"{in_dim} input features"
+            )
 
 
 def _stacks(plans: list[PropagationPlan], params: ModelParams, xs: list):
@@ -343,16 +334,7 @@ def _stacks(plans: list[PropagationPlan], params: ModelParams, xs: list):
             f"{min(other_depths)}"
         )
     first = params.layers[0]
-    in_dim = (first.w1 if first.kind == "gin" else first.w).shape[0]
-    for plan, x in zip(plans, xs):
-        if not isinstance(x, np.ndarray):
-            raise ValueError(f"features must be an array, got {type(x).__name__}")
-        if x.shape != (plan.original_count, in_dim):
-            raise ValueError(
-                f"features of shape {x.shape} do not match the plan's "
-                f"{plan.original_count} original nodes and the model's "
-                f"{in_dim} input features"
-            )
+    _check_features(plans, xs, (first.w1 if first.kind == "gin" else first.w).shape[0])
     _check_dense(max(plan.extended_count for plan in plans), "a dense layer operator")
     counts = [(plan.original_count, plan.extended_count) for plan in plans]
     start = 0
@@ -774,12 +756,13 @@ def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[Cu
 
     plan_builder maps a graph to its PropagationPlan; equal graphs share one
     plan, and every plan must follow config.scheme and config.num_layers.
-    Every size and plan is checked before the first step: the plans of the
-    largest size are built, and each size takes a prefix. The call makes one
-    _Run, which builds each template's operator entries once per kind and
-    is dropped when the call returns. A run whose loss, gradients, final
-    parameters or evaluation logits stop being finite is recorded as failed
-    and does not stop the remaining sizes.
+    Every size, plan and sample's features are checked before the first
+    step: the plans of the largest size are built, each size takes a prefix,
+    and the first sample's features fix the model's input width. The call
+    makes one _Run, which builds each template's operator entries once per
+    kind and is dropped when the call returns. A run whose loss, gradients,
+    final parameters or evaluation logits stop being finite is recorded as
+    failed and does not stop the remaining sizes.
     """
     if not dataset.test:
         raise ValueError("the dataset has no test samples")
@@ -801,8 +784,10 @@ def train(plan_builder, dataset: SumTaskDataset, config: TrainConfig) -> list[Cu
 
     test_plans = [plan_for(s.graph) for s in dataset.test]
     train_plans = [plan_for(s.graph) for s in dataset.train[:largest]]
+    feature_dim = np.shape(dataset.train[0].features)[-1]
+    xs = [s.features for s in chain(dataset.train[:largest], dataset.test)]
+    _check_features(train_plans + test_plans, xs, feature_dim)
     run = _Run()
-    feature_dim = dataset.train[0].features.shape[1]
     rows = []
     for size in config.train_sizes:
         subset = dataset.train[:size]

@@ -540,6 +540,11 @@ class AdamState:
         return cls(m=zero_grads(params), v=zero_grads(params))
 
 
+def copy_params(params: ModelParams) -> ModelParams:
+    """params' layout over a copy of its vector."""
+    return params._over(params.vec.copy())
+
+
 def adam_step(
     params: ModelParams,
     grads: dict[str, np.ndarray],
@@ -549,7 +554,7 @@ def adam_step(
     """One Adam update. Returns fresh parameters; state advances in place."""
     state.step += 1
     t = state.step
-    new = params.copy()
+    new = copy_params(params)
     for name, arr in new.arrays():
         g = grads[name]
         state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g

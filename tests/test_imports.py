@@ -48,7 +48,7 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
 # each with the reason it stays in the package rather than in
 # tests/oracles.py.
 UNREFERENCED = {
-    "propagation.extend_features": "perfbench/spans.py wraps it by name (ROADMAP item 1)",
+    "propagation.extend_features": "perfbench/spans.py wraps it by name (ROADMAP item 1b)",
     "graphcore.UGraph.bfs_distances": "perfbench/spans.py wraps it by name (ROADMAP item 1b)",
     "nn.relu_kink_margin": "train --trace is to report it (ROADMAP item 6)",
     "spectral.dirichlet_energy": "train --trace is to report it (ROADMAP item 6)",

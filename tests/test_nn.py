@@ -621,7 +621,7 @@ class TestWholeVector:
             offset += arr.size
         assert offset == params.vec.size
         before = params.vec.copy()
-        copied = params.copy()
+        copied = oracles.copy_params(params)
         copied.vec[:] = 0.0
         assert all(not np.any(a) for _, a in copied.arrays())
         assert params.vec.tobytes() == before.tobytes()
@@ -643,7 +643,7 @@ class TestWholeVector:
         # parameters and both moments agree bit for bit at every step.
         rng = np.random.default_rng(41)
         params = init_params(rng, kind, 5, 6, 2)
-        want = params.copy()
+        want = oracles.copy_params(params)
         state = AdamState.for_params(params)
         want_state = oracles.AdamState.for_params(want)
         for _ in range(5):
@@ -941,6 +941,29 @@ class TestTrain:
             train(builder, ds, config)
         assert steps == []
 
+    def test_a_test_split_of_the_wrong_width_is_refused_before_the_first_step(
+        self, steps
+    ):
+        ds = gen_sum_task("Empty", 4, seed=0, test_size=2)
+        narrow = tuple(dataclasses.replace(s, features=s.features[:, :5]) for s in ds.test)
+        config = TrainConfig(epochs=3, hidden_dim=4, train_sizes=(4,))
+        with pytest.raises(ValueError, match=r"features of shape \(20, 5\)"):
+            train(scheme_plan_builder("Base", 1), dataclasses.replace(ds, test=narrow), config)
+        assert steps == []
+
+    def test_a_train_sample_of_the_wrong_width_is_refused_before_the_first_step(
+        self, steps
+    ):
+        # Only the last sample is narrow, and only size 4 takes it.
+        ds = gen_sum_task("Empty", 4, seed=0, test_size=2)
+        last = ds.train[-1]
+        narrow = dataclasses.replace(last, features=last.features[:, :5])
+        ds = dataclasses.replace(ds, train=ds.train[:-1] + (narrow,))
+        config = TrainConfig(epochs=1, hidden_dim=4, train_sizes=(2, 4))
+        with pytest.raises(ValueError, match=r"features of shape \(20, 5\)"):
+            train(scheme_plan_builder("Base", 1), ds, config)
+        assert steps == []
+
 
     def test_builder_without_a_cache_builds_each_modulus_once(self, monkeypatch):
         built = []
@@ -999,9 +1022,9 @@ class TestOperatorMemo:
         built = []
         entries = nn._operator_entries
 
-        def counting_entries(graphs, kind):
-            built.extend(graphs)
-            return entries(graphs, kind)
+        def counting_entries(g, kind):
+            built.append(g)
+            return entries(g, kind)
 
         monkeypatch.setattr(nn, "_operator_entries", counting_entries)
         runs = self.record_runs(monkeypatch)
@@ -1036,10 +1059,12 @@ class TestOperatorMemo:
         assert len(built) == len(templates)
         assert len(runs) == 2 and runs[1]() is None
 
-    def test_per_sample_templates_keep_no_dense_operator(self, cache, monkeypatch):
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    def test_per_sample_templates_keep_no_dense_operator(self, cache, monkeypatch, kind):
         # After a CGP run over N per-sample templates, the run's only (m, m)
         # float array is the Cayley layer's shared operator; every input
-        # template keeps its entries, O(edges). Batches of 17 leave stacks
+        # template keeps its entries, O(edges): int32 positions, and for
+        # GCN as many float64 values. Batches of 17 leave stacks
         # of one sample, whose template is not shared either. No array is a
         # stack of whole-model gradients, P columns wide.
         kept = []
@@ -1056,6 +1081,7 @@ class TestOperatorMemo:
             batch_size=17,
             hidden_dim=4,
             num_layers=2,
+            layer_kind=kind,
             scheme="CGP",
             train_sizes=(40,),
         )
@@ -1076,12 +1102,38 @@ class TestOperatorMemo:
         walk(vars(run))
         dense = [a for a in arrays if a.dtype.kind == "f" and a.shape[-2:] == (m, m)]
         assert [a.shape for a in dense] == [(1, m, m)]
-        p = init_params(np.random.default_rng(0), "gin", 128, 4, 2).vec.size
+        p = init_params(np.random.default_rng(0), kind, 128, 4, 2).vec.size
         assert not [a.shape for a in arrays if a.ndim and a.shape[-1] == p]
-        entries = list(run._entries["gin"].values())
-        assert len(entries) == len(ds.train) + len(ds.test) + 1
-        assert {p.ndim for _, p, _ in entries} == {1}
-        assert {v for _, _, v in entries} == {None}
+        held = run._operators
+        assert {k for _, k in held} == {kind}
+        assert len(held) == len(ds.train) + len(ds.test) + 1
+        for _, positions, values, _ in held.values():
+            assert positions.ndim == 1 and positions.dtype == np.int32
+            if kind == "gin":
+                assert values is None
+            else:
+                assert values.dtype == np.float64 and values.shape == positions.shape
+        # Only the Cayley template, which every stack shares, holds an operator.
+        assert sum(op is not None for *_, op in held.values()) == 1
+
+    def test_a_template_repeated_in_an_unshared_stack_is_built_once(self, monkeypatch):
+        built = []
+        entries = nn._operator_entries
+
+        def counting_entries(g, kind):
+            built.append((g, kind))
+            return entries(g, kind)
+
+        monkeypatch.setattr(nn, "_operator_entries", counting_entries)
+        a, b, c = UGraph(4, [(0, 1)]), UGraph(4, [(1, 2), (2, 3)], {3}), UGraph(4)
+        stack = [a, b, a, c, b, a]
+        run = nn._Run()
+        for kind in LAYER_KINDS:
+            ops = run.operator(stack, kind)
+            want = np.stack([oracles.layer_operator(g, kind) for g in stack])
+            assert ops.tobytes() == want.tobytes()
+            assert run.operator(stack[::-1], kind).tobytes() == want[::-1].tobytes()
+        assert built == [(g, kind) for kind in LAYER_KINDS for g in (a, b, c)]
 
     def test_workspace_is_dropped_when_a_run_raises(self, monkeypatch):
         runs = self.record_runs(monkeypatch)
