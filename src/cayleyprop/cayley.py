@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import secrets
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .graphcore import (
     emit_edge_list,
     parse_edge_list,
 )
-from .modgroup import generators, sl2_order
+from .modgroup import generators, right_action, sl2_order
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
 
@@ -43,34 +42,30 @@ def build_cayley(n: int) -> CayleyGraph:
             f"Cay(SL(2, Z_{n})) requires {order} vertices, over the budget "
             f"of {DEFAULT_VERTEX_BUDGET}"
         )
-    gens = generators(n)
     identity = (1, 0, 0, 1)
+    labels = [identity]
     index = {identity: 0}
     edges: list[tuple[int, int]] = []
-    queue = deque([identity])
-    while queue:
-        x = queue.popleft()
-        a, b, c, d = x
-        ix = index[x]
-        # x times the generator [[p, q], [r, s]], entries reduced mod n
-        for p, q, r, s in gens:
-            y = ((a*p + b*r) % n, (a*q + b*s) % n, (c*p + d*r) % n, (c*q + d*s) % n)
+    # FIFO discovery order is label order, so the BFS queue is the label
+    # list itself, read from the front while it grows at the back.
+    for ix, x in enumerate(labels):
+        for y in right_action(x, n):
             iy = index.get(y)
             if iy is None:
-                iy = len(index)
+                iy = len(labels)
                 index[y] = iy
-                queue.append(y)
+                labels.append(y)
             # S_n is symmetric and every vertex is expanded once, so each
             # edge is met from both ends; keep it from its lower end. A
             # product that fixes x gives (ix, ix), which UGraph refuses.
             if ix <= iy:
                 edges.append((ix, iy))
-    if len(index) != order:
+    if len(labels) != order:
         raise RuntimeError(
-            f"BFS reached {len(index)} elements, expected {order}; "
+            f"BFS reached {len(labels)} elements, expected {order}; "
             "generating set does not generate the group"
         )
-    return CayleyGraph(modulus=n, graph=UGraph(order, edges), degree=len(gens))
+    return CayleyGraph(modulus=n, graph=UGraph(order, edges), degree=len(generators(n)))
 
 
 def smallest_modulus(v: int) -> int:

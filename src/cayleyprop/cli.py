@@ -43,7 +43,7 @@ from .nn import (
     scheme_plan_builder,
     train,
 )
-from .propagation import CAYLEY_SCHEMES, SCHEMES, build_plan, export_plan
+from .propagation import CAYLEY_SCHEMES, SCHEMES, _check_layers, build_plan, export_plan
 from .spectral import analyze, expansion_sweep, sweep_to_csv
 
 EXIT_OK = 0
@@ -234,6 +234,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_rewire(args) -> int:
+    _check_layers(args.layers)
     manifest_path = Path(args.dataset)
     if not manifest_path.is_file():
         raise InputError(f"no such manifest: {manifest_path}")

@@ -46,6 +46,11 @@ LAYER_CAYLEY = "cayley"
 LAYER_FULLY_ADJACENT = "fully_adjacent"
 LAYER_MASTER = "master"
 
+# The most layers a plan schedules. A plan holds one layer kind per layer, so
+# a depth far past any message-passing model (10**9 would be an 8 GB tuple)
+# is refused before its schedule is built.
+MAX_LAYERS = 1024
+
 # The complete graph of each extended count, shared by the plans that use it,
 # so a stack of FALast samples gets one broadcast operator. Held weakly: it
 # lives as long as such a plan, as complete_graph(8192) is 33 M edge tuples.
@@ -145,6 +150,13 @@ def master_node_graph(g: UGraph) -> UGraph:
     return UGraph(hub + 1, edges, g.self_loops)
 
 
+def _check_layers(num_layers: int) -> None:
+    """Refuse a plan of num_layers layers past MAX_LAYERS; call it before
+    anything is built."""
+    if num_layers > MAX_LAYERS:
+        raise ValueError(f"{num_layers} layers exceed the cap of {MAX_LAYERS} layers")
+
+
 def build_plan(
     g: UGraph,
     scheme: str,
@@ -155,6 +167,7 @@ def build_plan(
     """Assemble the template graphs and layer schedule for one input graph.
     Without a cache, a Cayley scheme builds its group in a memory-only one."""
     num_layers = _as_int(num_layers, "num_layers", 1)
+    _check_layers(num_layers)
     if scheme not in SCHEMES:
         raise ValueError(f"unsupported scheme {scheme!r}; expected one of {SCHEMES}")
     v = g.node_count

@@ -14,7 +14,7 @@ from cayleyprop.cayley import (
     smallest_modulus,
 )
 from cayleyprop.graphcore import emit_edge_list, induced_prefix_subgraph
-from cayleyprop.modgroup import sl2_order
+from cayleyprop.modgroup import right_action, sl2_order
 from cayleyprop.spectral import analyze
 from oracles import build_cayley_mat2z, is_connected
 
@@ -73,15 +73,19 @@ class TestBuild:
         assert text == emit_edge_list(build_cayley_mat2z(n))
 
     def test_incomplete_bfs_is_runtime_error(self, monkeypatch):
-        # two of the four generators reach only the upper triangular elements
-        monkeypatch.setattr(cayley, "generators", lambda n: [(1, 1, 0, 1), (1, n - 1, 0, 1)])
+        # the two column operations of the upper generators reach only the
+        # upper triangular elements
+        monkeypatch.setattr(cayley, "right_action", lambda x, n: right_action(x, n)[:2])
         with pytest.raises(RuntimeError, match="reached 5 elements, expected 120"):
             build_cayley(5)
 
     def test_identity_generator_is_refused(self, monkeypatch):
         # x * I = x: the product's edge is a self-loop, which UGraph refuses
-        gens = [(1, 1, 0, 1), (1, 0, 0, 1), (1, 4, 0, 1), (1, 0, 1, 1), (1, 0, 4, 1)]
-        monkeypatch.setattr(cayley, "generators", lambda n: gens)
+        def with_identity(x, n):
+            products = right_action(x, n)
+            return products[:1] + [x] + products[1:]
+
+        monkeypatch.setattr(cayley, "right_action", with_identity)
         with pytest.raises(ValueError, match=r"ordinary edge \(0, 0\) is a self-loop"):
             build_cayley(5)
 
@@ -166,6 +170,19 @@ class TestWriteAtomic:
         path.write_text("old\n")
         with pytest.raises(TypeError):
             cayley.write_atomic(path, None)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+        assert path.read_text() == "old\n"
+
+    def test_failed_rename_keeps_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+
+        def no_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cayley.os, "replace", no_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            cayley.write_atomic(path, "new\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
         assert path.read_text() == "old\n"
 

@@ -22,6 +22,7 @@ from cayleyprop.graphcore import (
     gen_graph,
     parse_edge_list,
 )
+from cayleyprop.propagation import MAX_LAYERS
 
 
 @pytest.fixture()
@@ -663,6 +664,35 @@ class TestRewire:
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "g0.cayley.edgelist", "g0.input_extended.edgelist", "g0.json", "summary.json"
         ]
+
+    def test_layers_past_the_cap_exit_3_before_any_work(self, tmp_path):
+        # In a child of a child, so the grandchild's peak RSS is the CLI's
+        # alone; 10**9 layer kinds would be an 8 GB tuple.
+        manifest = self._write_dataset(tmp_path, [10])
+        out_dir = tmp_path / "out"
+        argv = [sys.executable, "-m", "cayleyprop", "rewire", str(manifest),
+                "--layers", str(10**9), "--out-dir", str(out_dir)]
+        probe = (
+            "import json, resource, subprocess, sys\n"
+            f"r = subprocess.run({argv!r}, capture_output=True, text=True, timeout=60)\n"
+            "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(json.dumps([r.returncode, r.stderr, rss]))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(cayleyprop.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        t0 = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        elapsed = time.perf_counter() - t0
+        code, err, rss_kib = json.loads(done.stdout)
+        assert code == 3
+        assert f"{10**9} layers exceed the cap of {MAX_LAYERS} layers" in err
+        assert not out_dir.exists()
+        assert rss_kib < 200 * 1024
+        assert elapsed < 10
 
     @pytest.mark.parametrize("name", ["summary", "summary.json.manifest"])
     def test_summary_names_are_reserved(self, capsys, tmp_path, name):

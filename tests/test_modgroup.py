@@ -1,6 +1,6 @@
 import pytest
 
-from cayleyprop.modgroup import generators, sl2_order
+from cayleyprop.modgroup import generators, right_action, sl2_order
 from oracles import Mat2Z, enumerate_sl2_bruteforce, mat_mul
 
 
@@ -135,3 +135,16 @@ class TestGenerators:
     def test_rejects_small_modulus(self):
         with pytest.raises(ValueError):
             generators(1)
+
+
+class TestRightAction:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_the_oracle_product_with_each_generator(self, n):
+        # the elementary matrices, stated apart from the action; at n = 2
+        # the +1 and -1 residues coincide and dict.fromkeys keeps one of each
+        gens = dict.fromkeys(
+            [M(1, 1, 0, 1, n), M(1, -1, 0, 1, n), M(1, 0, 1, 1, n), M(1, 0, -1, 1, n)]
+        )
+        for x in enumerate_sl2_bruteforce(n):
+            expected = [mat_mul(x, g).entries() for g in gens]
+            assert right_action(x.entries(), n) == expected

@@ -11,6 +11,7 @@ from cayleyprop.cayley import CayleyCache, write_atomic
 from cayleyprop.graphcore import UGraph, gen_graph, parse_edge_list
 from cayleyprop.modgroup import sl2_order
 from cayleyprop.propagation import (
+    MAX_LAYERS,
     SCHEMES,
     build_plan,
     export_plan,
@@ -176,6 +177,15 @@ class TestBuildPlan:
             build_plan(g, "CGP", 0, cache=cache)
         with pytest.raises(ValueError, match="input graph has no nodes"):
             build_plan(UGraph(0), "CGP", 2, cache=cache)
+
+    def test_layers_past_the_cap_are_refused_before_any_build(self, monkeypatch):
+        # 10**9 layer kinds would be an 8 GB tuple; the group is not built either
+        monkeypatch.setattr(propagation, "CayleyCache", None)
+        g = UGraph(3, [(0, 1)])
+        for layers in (MAX_LAYERS + 1, 10**9):
+            with pytest.raises(ValueError, match=f"{layers} layers exceed the cap of {MAX_LAYERS}"):
+                build_plan(g, "CGP", layers)
+        assert build_plan(g, "Base", MAX_LAYERS).num_layers == MAX_LAYERS
 
 
 class TestExport:
