@@ -4,11 +4,18 @@ total effective resistance, Dirichlet energy, and the truncation sweep.
 All spectral quantities ignore flagged self-loops: they carry no structural
 information for cuts or distances, and keeping them out makes reports on
 extended template graphs comparable with reports on the raw inputs.
+
+`analyze` runs its two independent stages at once: the hop diameter and the
+D - A spectrum on one long-lived worker thread, the normalized spectrum on
+the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from itertools import chain
 
@@ -40,18 +47,19 @@ def laplacian(g: UGraph, kind: str = "normalized") -> np.ndarray:
     np.negative(lap, out=lap)
     lap[np.diag_indices_from(lap)] = deg
     if kind == "normalized":
-        _to_normalized(lap, deg)
+        return _normalized(lap, deg)
     return lap
 
 
-def _to_normalized(lap: np.ndarray, deg: np.ndarray) -> None:
-    """Turn D - A into D^{-1/2} (D - A) D^{-1/2} in place; the off-diagonal
-    entries are -a * s_u * s_v, in that order of operations."""
+def _normalized(lap: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """D^{-1/2} (D - A) D^{-1/2} from D - A, as a new matrix; the
+    off-diagonal entries are -a * s_u * s_v, in that order of operations."""
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
-    lap *= inv_sqrt[:, None]
-    lap *= inv_sqrt[None, :]
-    lap[np.diag_indices_from(lap)] = np.where(deg > 0, 1.0, 0.0)
+    norm = lap * inv_sqrt[:, None]
+    norm *= inv_sqrt[None, :]
+    norm[np.diag_indices_from(norm)] = np.where(deg > 0, 1.0, 0.0)
+    return norm
 
 
 def eig_sym(m: np.ndarray) -> np.ndarray:
@@ -222,31 +230,92 @@ def diameter_bfs(g: UGraph) -> int | None:
     return levels
 
 
+# analyze's worker: one daemon thread serving a job queue, started by the
+# first analyze and kept for the life of the process, since a thread per
+# call pays OpenBLAS's per-thread set-up each time. (A concurrent.futures
+# executor would do, but held about 1 MiB more peak RSS over the sweep.)
+# Callers on several threads share it; the lock makes one of them start it.
+_jobs: queue.SimpleQueue | None = None
+_jobs_lock = threading.Lock()
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        fn, args, reply = jobs.get()
+        try:
+            reply.put((True, fn(*args)))
+        except BaseException as exc:  # raised again by the caller
+            reply.put((False, exc))
+        del fn, args, reply  # an idle worker holds no graph or matrix
+
+
+def _submit(fn, *args) -> queue.SimpleQueue:
+    """Queue fn(*args) on the worker; its outcome arrives on the returned
+    queue as (True, result) or (False, exception)."""
+    global _jobs
+    with _jobs_lock:
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            threading.Thread(
+                target=_serve, args=(_jobs,), name="cayleyprop-analyze", daemon=True
+            ).start()
+        jobs = _jobs
+    reply = queue.SimpleQueue()
+    jobs.put((fn, args, reply))
+    return reply
+
+
+def _forget_worker() -> None:
+    """A fork()ed child has no copy of the parent's worker thread, so its
+    first analyze starts one of its own; a fresh lock, since another thread
+    may have held the parent's at the fork."""
+    global _jobs, _jobs_lock
+    _jobs = None
+    _jobs_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _diameter_and_r_tot(g: UGraph, lap: np.ndarray) -> tuple[int | None, float]:
+    """Hop diameter, then r_tot = n * sum(1 / mu) over the nonzero spectrum
+    mu of lap = D - A; lap is only read."""
+    n = g.node_count
+    diameter = diameter_bfs(g)
+    if n == 1:
+        return diameter, 0.0
+    if diameter is None:
+        return diameter, math.inf
+    comb = eig_sym(lap)
+    return diameter, float(n * np.sum(1.0 / comb[1:]))
+
+
 def analyze(g: UGraph) -> SpectralReport:
     """Full spectral report; degenerate cases are reported, not raised.
 
-    One matrix serves both spectra: D - A gives the combinatorial spectrum,
-    which feeds only r_tot, and then becomes the normalized Laplacian in
-    place.
+    One D - A serves both spectra. The worker thread takes the diameter
+    first and then the spectrum of D - A, which feeds only r_tot; the
+    caller meanwhile solves a normalized copy. Each stage raises as it would
+    in that serial order: a failure of the worker's stages is raised ahead
+    of one of the caller's, and the worker has finished before analyze
+    returns or raises.
     """
     n = g.node_count
     if n == 0:
         raise ValueError("cannot analyze an empty graph")
     lap = laplacian(g, "combinatorial")
     deg = lap.diagonal().copy()
-    diameter = diameter_bfs(g)
-    connected = diameter is not None
-    if n == 1:
-        r_tot = 0.0
-    elif connected:
-        comb = eig_sym(lap)
-        r_tot = float(n * np.sum(1.0 / comb[1:]))
-    else:
-        r_tot = math.inf
-    _to_normalized(lap, deg)
-    evals = eig_sym(lap)
+    reply = _submit(_diameter_and_r_tot, g, lap)
+    try:
+        evals = eig_sym(_normalized(lap, deg))
+    finally:
+        done, out = reply.get()
+        if not done:
+            raise out
+    diameter, r_tot = out
     evals = np.where(np.abs(evals) < ZERO_EIGENVALUE_CUTOFF, 0.0, evals)
-    gap = float(evals[1]) if n >= 2 and connected else 0.0
+    gap = float(evals[1]) if n >= 2 and diameter is not None else 0.0
     return SpectralReport(
         eigenvalues=tuple(float(v) for v in evals),
         spectral_gap=gap,

@@ -3,7 +3,8 @@
 The validating `Mat2Z` group element with `mat_mul`, and the group BFS
 built on them that `cayley.build_cayley` (plain residue tuples) must match
 edge for edge; brute-force and per-pair oracles for the diagnostics (group
-order, Cheeger constant, effective resistance); the `Generator.choice` BA
+order, Cheeger constant, effective resistance); `analyze_serial`, the
+one-thread form of `spectral.analyze`; the `Generator.choice` BA
 generator that `graphcore.gen_ba_graphs` must match graph for graph, and
 choice's weighted pick in numpy's own steps; graph helpers that build test
 inputs (relabelling, disjoint unions, d-patterns, connectivity); the dense
@@ -37,7 +38,14 @@ from cayleyprop.nn import (
     _loss_and_dz,
 )
 from cayleyprop.propagation import PropagationPlan, extend_features
-from cayleyprop.spectral import laplacian
+from cayleyprop.spectral import (
+    ZERO_EIGENVALUE_CUTOFF,
+    SpectralReport,
+    _normalized,
+    diameter_bfs,
+    eig_sym,
+    laplacian,
+)
 
 BRUTEFORCE_MAX_MODULUS = 20
 CHEEGER_BRUTEFORCE_MAX_NODES = 20
@@ -311,6 +319,38 @@ def diameter_per_source(g: UGraph) -> int | None:
     if any(-1 in d for d in dists):
         return None
     return max(max(d) for d in dists)
+
+
+def analyze_serial(g: UGraph) -> SpectralReport:
+    """spectral.analyze with its stages in one thread, in the order the
+    concurrent form keeps for its errors: diameter, the D - A spectrum,
+    then the normalized spectrum. The oracle for analyze, byte for byte."""
+    n = g.node_count
+    if n == 0:
+        raise ValueError("cannot analyze an empty graph")
+    lap = laplacian(g, "combinatorial")
+    deg = lap.diagonal().copy()
+    diameter = diameter_bfs(g)
+    connected = diameter is not None
+    if n == 1:
+        r_tot = 0.0
+    elif connected:
+        comb = eig_sym(lap)
+        r_tot = float(n * np.sum(1.0 / comb[1:]))
+    else:
+        r_tot = math.inf
+    evals = eig_sym(_normalized(lap, deg))
+    evals = np.where(np.abs(evals) < ZERO_EIGENVALUE_CUTOFF, 0.0, evals)
+    gap = float(evals[1]) if n >= 2 and connected else 0.0
+    return SpectralReport(
+        eigenvalues=tuple(float(v) for v in evals),
+        spectral_gap=gap,
+        cheeger_lower=gap / 2.0,
+        cheeger_upper=math.sqrt(2.0 * gap),
+        diameter=diameter,
+        r_tot=r_tot,
+        isolated_count=int(np.count_nonzero(deg == 0)),
+    )
 
 
 def cheeger_constant_bruteforce(g: UGraph) -> float:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -42,6 +42,7 @@ from cayleyprop.propagation import (
 )
 from cayleyprop.spectral import analyze, diameter_bfs, expansion_sweep
 from oracles import (
+    analyze_serial,
     assert_matches_oracle,
     choice_cdf,
     choice_p,
@@ -598,3 +599,25 @@ def test_r_tot_matches_the_pairwise_resistance_oracle(g):
         assert analyze(g).r_tot == pytest.approx(pairwise, rel=1e-9, abs=1e-12)
     else:
         assert analyze(g).r_tot == np.inf
+
+
+@st.composite
+def cayley_prefixes(draw):
+    full = CAYLEY_GRAPHS.graph(draw(st.integers(2, 5)))
+    return induced_prefix_subgraph(full, draw(st.integers(1, full.node_count)))
+
+
+@DETERMINISTIC
+@given(g=connectable_graphs() | cayley_prefixes())
+@example(g=UGraph(1))
+@example(g=UGraph(2))
+@example(g=UGraph(2, [(0, 1)]))
+@example(g=UGraph(4, [(0, 1), (1, 2)]))
+@example(g=UGraph(4, [(0, 1), (2, 3)]))
+def test_analyze_matches_the_serial_oracle_byte_for_byte(g):
+    # The worker thread's diameter and D - A spectrum and the caller's
+    # normalized spectrum give every report field the serial path gives:
+    # equal as values, and as bytes in the pickle (a -0.0 or NaN shows).
+    report, expected = analyze(g), analyze_serial(g)
+    assert report == expected
+    assert pickle.dumps(report) == pickle.dumps(expected)

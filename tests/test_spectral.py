@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -25,6 +29,7 @@ from cayleyprop.spectral import (
     sweep_to_csv,
 )
 from oracles import (
+    analyze_serial,
     cheeger_constant_bruteforce,
     diameter_per_source,
     disjoint_union,
@@ -171,6 +176,144 @@ class TestAnalyze:
         for g in graphs:
             analyze(g)
         assert built == [g.node_count for g in graphs]
+
+
+class WorkerFault(Exception):
+    pass
+
+
+class CallerFault(Exception):
+    pass
+
+
+class TestConcurrentAnalyze:
+    """analyze takes the diameter and the D - A spectrum on its worker
+    thread, beside the caller's normalized solve. An error surfaces as it
+    would in that serial order, and the worker's stages have ended when
+    analyze returns or raises."""
+
+    G = induced_prefix_subgraph(build_cayley(4).graph, 30)
+
+    @staticmethod
+    def slow_diameter(monkeypatch, error=None):
+        """diameter_bfs after a pause, raising error if given; returns the
+        list of the threads it ended on."""
+        ended = []
+        original = spectral.diameter_bfs
+
+        def diameter(g):
+            time.sleep(0.2)
+            ended.append(threading.current_thread())
+            if error is not None:
+                raise error
+            return original(g)
+
+        monkeypatch.setattr(spectral, "diameter_bfs", diameter)
+        return ended
+
+    @staticmethod
+    def failing_solves(monkeypatch, combinatorial=None, normalized=None):
+        """eig_sym raising the given error for D - A or for the normalized
+        Laplacian."""
+        original = spectral.eig_sym
+
+        def eig(m):
+            is_comb = spectral._is_combinatorial_laplacian(np.asarray(m))
+            error = combinatorial if is_comb else normalized
+            if error is not None:
+                raise error
+            return original(m)
+
+        monkeypatch.setattr(spectral, "eig_sym", eig)
+
+    def test_the_worker_runs_the_diameter(self, monkeypatch):
+        ended = self.slow_diameter(monkeypatch)
+        assert analyze(self.G) == analyze_serial(self.G)
+        assert len(ended) == 1 and ended[0] is not threading.main_thread()
+
+    def test_a_failing_diameter_is_raised(self, monkeypatch):
+        ended = self.slow_diameter(monkeypatch, WorkerFault("diameter"))
+        with pytest.raises(WorkerFault, match="diameter"):
+            analyze(self.G)
+        assert len(ended) == 1
+
+    def test_a_failing_combinatorial_solve_is_raised(self, monkeypatch):
+        self.failing_solves(monkeypatch, combinatorial=WorkerFault("D - A"))
+        with pytest.raises(WorkerFault, match="D - A"):
+            analyze(self.G)
+
+    def test_a_failing_normalized_solve_waits_for_the_worker(self, monkeypatch):
+        ended = self.slow_diameter(monkeypatch)
+        self.failing_solves(monkeypatch, normalized=CallerFault("normalized"))
+        with pytest.raises(CallerFault, match="normalized"):
+            analyze(self.G)
+        assert len(ended) == 1
+
+    def test_when_both_fail_the_workers_error_is_raised(self, monkeypatch):
+        ended = self.slow_diameter(monkeypatch)
+        self.failing_solves(
+            monkeypatch, combinatorial=WorkerFault("D - A"), normalized=CallerFault("norm")
+        )
+        with pytest.raises(WorkerFault, match="D - A") as raised:
+            analyze(self.G)
+        assert isinstance(raised.value.__context__, CallerFault)
+        assert len(ended) == 1
+
+    def test_the_worker_serves_calls_after_a_failure(self, monkeypatch):
+        with monkeypatch.context() as patched:
+            self.failing_solves(patched, combinatorial=WorkerFault("D - A"))
+            with pytest.raises(WorkerFault):
+                analyze(self.G)
+        assert analyze(self.G) == analyze_serial(self.G)
+
+    def test_callers_on_several_threads_share_one_worker(self, monkeypatch):
+        # Six callers race to start the worker and then queue their jobs on
+        # it, with the interpreter switching threads every 10 us.
+        def workers():
+            return [t for t in threading.enumerate() if t.name == "cayleyprop-analyze"]
+
+        monkeypatch.setattr(spectral, "_jobs", None)
+        before = len(workers())
+        graphs = [induced_prefix_subgraph(build_cayley(4).graph, v) for v in range(20, 50, 5)]
+        reports = [None] * len(graphs)
+
+        def call(i):
+            reports[i] = analyze(graphs[i])
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(graphs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert reports == [analyze_serial(g) for g in graphs]
+        assert len(workers()) == before + 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork()")
+    def test_a_forked_child_gets_a_worker_of_its_own(self):
+        # Work queued on the parent's worker in a child would never run: the
+        # child has no copy of the parent's thread.
+        expected = analyze(self.G)  # the parent's worker thread is running
+        pid = os.fork()
+        if pid == 0:
+            try:
+                code = 0 if analyze(self.G) == expected else 1
+            except BaseException:
+                code = 2
+            os._exit(code)
+        deadline = time.monotonic() + 10.0
+        while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's analyze did not return in 10 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 class TestEigenvalueOnlyLaplacianSolve:
