@@ -33,15 +33,33 @@ class CayleyGraph:
     degree: int
 
 
+def group_order(n: int) -> int:
+    """|SL(2, Z_n)| for a modulus n >= 2 whose Cayley graph fits the vertex
+    budget, read at call time; a ValueError past the budget.
+
+    The order exceeds (6 / pi^2) n^3 > 0.6 n^3, so a modulus with 3 n^3 >
+    5 * budget is refused before sl2_order trial-divides it: up to sqrt(n),
+    seconds for a prime near 10^16.
+    """
+    n = _as_int(n, "modulus", 2)
+    budget = DEFAULT_VERTEX_BUDGET
+    if 3 * n**3 > 5 * budget:
+        raise ValueError(
+            f"Cay(SL(2, Z_{n})) requires more than {3 * n**3 // 5} vertices, "
+            f"over the budget of {budget}"
+        )
+    order = sl2_order(n)
+    if order > budget:
+        raise ValueError(
+            f"Cay(SL(2, Z_{n})) requires {order} vertices, over the budget of {budget}"
+        )
+    return order
+
+
 def build_cayley(n: int) -> CayleyGraph:
     """BFS the whole group from the identity and collect generator edges."""
     n = _as_int(n, "modulus", 2)
-    order = sl2_order(n)
-    if order > DEFAULT_VERTEX_BUDGET:
-        raise ValueError(
-            f"Cay(SL(2, Z_{n})) requires {order} vertices, over the budget "
-            f"of {DEFAULT_VERTEX_BUDGET}"
-        )
+    order = group_order(n)
     identity = (1, 0, 0, 1)
     labels = [identity]
     index = {identity: 0}
@@ -112,7 +130,7 @@ class CayleyCache:
         self._memory: dict[int, UGraph] = {}
 
     def path_for(self, n: int) -> Path:
-        return self.directory / f"cayley-n{n}-v{sl2_order(n)}.edgelist"
+        return self.directory / f"cayley-n{n}-v{group_order(n)}.edgelist"
 
     def graph(self, n: int) -> UGraph:
         """Cayley graph of modulus n as a plain UGraph, cached."""

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import BLAS_THREAD_VARS, __version__
-from .cayley import CayleyCache, build_cayley, smallest_modulus, write_atomic
+from .cayley import CayleyCache, build_cayley, group_order, smallest_modulus, write_atomic
 from .graphcore import (
     EdgeListParseError,
     _check_dense,
@@ -32,7 +32,6 @@ from .graphcore import (
     induced_prefix_subgraph,
     parse_edge_list,
 )
-from .modgroup import sl2_order
 from .nn import (
     LAYER_KINDS,
     SUM_TASK_STRUCTURES,
@@ -190,8 +189,10 @@ def cmd_build_cayley(args) -> int:
 def cmd_analyze(args) -> int:
     if args.truncate is not None and args.cayley is None:
         raise UsageError("--truncate requires --cayley")
+    if args.allow_self_loops and args.cayley is not None:
+        raise UsageError("--allow-self-loops applies to a graph file, not to --cayley")
     if args.cayley is not None:
-        order = sl2_order(args.cayley)
+        order = group_order(args.cayley)
         if args.truncate is not None and not 1 <= args.truncate <= order:
             raise UsageError(f"--truncate must be in 1..{order} for modulus {args.cayley}")
         _check_dense(order if args.truncate is None else args.truncate, "a dense matrix")
@@ -375,7 +376,7 @@ def cmd_bench(args) -> int:
     cache = CayleyCache()
     for n in args.sizes:
         p = 5.0 * np.log(n) / n if n > 1 else 0.0
-        g = gen_graph("ER", n, args.seed, p=min(p, 1.0))
+        g = gen_graph(n, args.seed, p=min(p, 1.0))
         t0 = time.perf_counter()
         plan = build_plan(g, "CGP", 2, cache=cache)
         elapsed = time.perf_counter() - t0

@@ -19,8 +19,6 @@ import numpy as np
 _SEED_TAG_ER = 0x45520001
 _SEED_TAG_BA = 0x42410002
 
-GRAPH_KINDS = ("ER", "Star", "BA", "Empty")
-
 # Largest graph that adjacency_matrix, and so every dense Laplacian, and the
 # training engine's dense layer operators will allocate: 8192^2 float64
 # entries are 512 MiB.
@@ -274,40 +272,19 @@ def emit_edge_list(g: UGraph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def gen_graph(
-    kind: str,
-    n: int,
-    seed: int = 0,
-    *,
-    p: float | None = None,
-    m: int | None = None,
-) -> UGraph:
-    """Seed-deterministic generator for the supported graph kinds.
+def gen_graph(n: int, seed: int = 0, *, p: float) -> UGraph:
+    """Seed-deterministic Erdos-Renyi G(n, p): each of the n(n - 1)/2 pairs
+    is an edge with probability p in [0, 1]. n (>= 1) and seed (>= 0) are
+    integers by the rule of _as_int.
 
-    ER needs p in [0, 1]. n and BA's attachment count m (>= 1) and seed
-    (>= 0) are integers by the rule of _as_int.
     Randomness comes from numpy's PCG64 (np.random.default_rng) seeded with
-    the user seed plus a per-kind tag, so ER and BA streams are independent
-    for the same seed. BA is the one-seed case of gen_ba_graphs, which
-    reproduces Generator.choice's degree-weighted pick; the choice-based
-    generator is kept as the test oracle.
+    the user seed plus a tag of its own, so the ER and BA (gen_ba_graphs)
+    streams are independent for the same seed.
     """
     n = _as_int(n, "node count", 1)
     seed = _as_int(seed, "seed", 0)
-    if kind == "Empty":
-        return UGraph(n)
-    if kind == "Star":
-        return star_graph(n)
-    if kind == "ER":
-        if isinstance(p, bool) or not isinstance(p, Real) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"ER requires p in [0, 1], got {p!r}")
-        return _gen_er(n, p, seed)
-    if kind == "BA":
-        return gen_ba_graphs(n, m, [seed])[0]
-    raise ValueError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
-
-
-def _gen_er(n: int, p: float, seed: int) -> UGraph:
+    if isinstance(p, bool) or not isinstance(p, Real) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"ER requires p in [0, 1], got {p!r}")
     rng = np.random.default_rng([seed, _SEED_TAG_ER])
     edges: list[tuple[int, int]] = []
     # Row-wise vectorised Bernoulli draws keep n = 10^4 fast.

@@ -665,7 +665,7 @@ def _structure_graphs(
     # One call draws the values of count scalar integers(0, 2**62) calls.
     seeds = rng.integers(0, 2**62, size=count).tolist()
     if structure == "GNP":
-        return [gen_graph("ER", rows, s, p=SUM_TASK_GNP_P) for s in seeds]
+        return [gen_graph(rows, s, p=SUM_TASK_GNP_P) for s in seeds]
     if structure == "BA":
         return gen_ba_graphs(rows, SUM_TASK_BA_M, seeds)
     raise AssertionError(structure)

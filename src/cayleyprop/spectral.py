@@ -232,8 +232,11 @@ def diameter_bfs(g: UGraph) -> int | None:
 
 # analyze's worker: one daemon thread serving a job queue, started by the
 # first analyze and kept for the life of the process, since a thread per
-# call pays OpenBLAS's per-thread set-up each time. (A concurrent.futures
-# executor would do, but held about 1 MiB more peak RSS over the sweep.)
+# call pays OpenBLAS's per-thread set-up each time. A concurrent.futures
+# executor would be shorter, but it takes no new work once the interpreter
+# starts to shut down: analyze would raise RuntimeError from a non-daemon
+# thread that outlives the main thread and from an atexit handler, which
+# this worker serves (both pinned in tests/test_spectral.py).
 # Callers on several threads share it; the lock makes one of them start it.
 _jobs: queue.SimpleQueue | None = None
 _jobs_lock = threading.Lock()

@@ -64,7 +64,7 @@ def cache(tmp_path_factory):
 
 def connected_er(n, seed, p):
     for s in range(seed, seed + 200):
-        g = gen_graph("ER", n, s, p=p)
+        g = gen_graph(n, s, p=p)
         if is_connected(g):
             return g
     raise AssertionError(f"no connected ER({n}, {p}) found from seed {seed}")
@@ -239,7 +239,7 @@ def test_criterion_7_gradient_exactness(cache):
             while True:
                 seed += 1
                 rng = np.random.default_rng(seed)
-                g = gen_graph("ER", 7, seed, p=0.45)
+                g = gen_graph(7, seed, p=0.45)
                 plan = build_plan(g, scheme, 2, cache=cache)
                 params = init_params(rng, kind, 3, 4, 2)
                 x = rng.standard_normal((7, 3))
@@ -274,7 +274,7 @@ def test_criterion_8_structural_contracts(cache):
         rng = np.random.default_rng(42)
 
         # (a) exact-fit degeneration, bit for bit
-        g24 = gen_graph("ER", 24, 77, p=0.3)
+        g24 = gen_graph(24, 77, p=0.3)
         params = init_params(rng, "gin", 4, 6, 3)
         x24 = rng.standard_normal((24, 4))
         h_cgp, z_cgp = model_forward(build_plan(g24, "CGP", 3, cache=cache), params, x24)
@@ -282,7 +282,7 @@ def test_criterion_8_structural_contracts(cache):
         assert np.array_equal(h_cgp, h_egp) and z_cgp == z_egp
 
         # (b) virtual rows of the final embedding never affect predictions
-        g20 = gen_graph("ER", 20, 78, p=0.35)
+        g20 = gen_graph(20, 78, p=0.35)
         plan = build_plan(g20, "CGP", 2, cache=cache)
         params20 = init_params(rng, "gin", 4, 6, 2)
         x20 = rng.standard_normal((20, 4))
@@ -385,7 +385,7 @@ def test_criterion_10_preprocessing_scalability(tmp_path):
     with criterion(10, "cold CGP template for ER(10000) in under 5 s"):
         timings = {}
         for n in (1000, 10_000):
-            g = gen_graph("ER", n, 0, p=5.0 * math.log(n) / n)
+            g = gen_graph(n, 0, p=5.0 * math.log(n) / n)
             cold_cache = CayleyCache(tmp_path / f"cold-{n}")
             start = time.perf_counter()
             plan = build_plan(g, "CGP", 2, cache=cold_cache)

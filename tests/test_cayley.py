@@ -11,6 +11,7 @@ from cayleyprop.cayley import (
     DEFAULT_VERTEX_BUDGET,
     CayleyCache,
     build_cayley,
+    group_order,
     smallest_modulus,
 )
 from cayleyprop.graphcore import emit_edge_list, induced_prefix_subgraph
@@ -63,6 +64,40 @@ class TestBuild:
         monkeypatch.setattr(cayley, "DEFAULT_VERTEX_BUDGET", 1000)
         with pytest.raises(ValueError, match="1320.*1000"):
             build_cayley(11)
+
+    @pytest.mark.parametrize("budget", [1000, DEFAULT_VERTEX_BUDGET])
+    def test_group_order_refuses_exactly_the_moduli_over_the_budget(
+        self, budget, monkeypatch
+    ):
+        # The cutoff 3 n^3 > 5 * budget, taken before any factoring, never
+        # refuses a group within the budget.
+        monkeypatch.setattr(cayley, "DEFAULT_VERTEX_BUDGET", budget)
+        for n in range(2, 200):
+            if sl2_order(n) <= budget:
+                assert group_order(n) == sl2_order(n)
+            else:
+                with pytest.raises(ValueError, match=rf"Z_{n}\)\) requires .*{budget}$"):
+                    group_order(n)
+
+    @pytest.mark.parametrize("entry", ["build_cayley", "graph", "path_for"])
+    def test_a_huge_modulus_is_refused_before_factoring(self, entry, tmp_path):
+        # sl2_order trial-divides up to sqrt(n), 13 s for this prime; its
+        # group is past the budget by its size alone.
+        n = 10**16 + 61
+        call = {
+            "build_cayley": build_cayley,
+            "graph": CayleyCache(tmp_path).graph,
+            "path_for": CayleyCache(tmp_path).path_for,
+        }[entry]
+        t0 = time.perf_counter()
+        with pytest.raises(
+            ValueError,
+            match=rf"Z_{n}\)\) requires more than \d+ vertices, over the budget "
+            rf"of {DEFAULT_VERTEX_BUDGET}$",
+        ):
+            call(n)
+        assert time.perf_counter() - t0 < 2.0
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "n",

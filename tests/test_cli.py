@@ -19,6 +19,7 @@ from cayleyprop.graphcore import (
     DENSE_NODE_CAP,
     UGraph,
     emit_edge_list,
+    gen_ba_graphs,
     gen_graph,
     parse_edge_list,
 )
@@ -383,6 +384,41 @@ class TestAnalyze:
         )
         assert out == "" and list(tmp_path.iterdir()) == []
 
+    def test_allow_self_loops_with_cayley_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The flag applies to a graph file only; a group graph has no loops.
+        forbid_group_builds(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["analyze", "--cayley", "3", "--allow-self-loops"], capsys)
+        assert code == 1
+        assert err == "usage error: --allow-self-loops applies to a graph file, not to --cayley\n"
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+
+class TestHugeModulus:
+    """A modulus far over the vertex budget is refused before sl2_order
+    trial-divides it, which took over 12 s for this prime."""
+
+    N = 10**16 + 61
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["build-cayley", "--n", str(N), "--out", "c.edgelist"], ["analyze", "--cayley", str(N)]],
+        ids=["build-cayley", "analyze"],
+    )
+    def test_is_refused_at_once(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        t0 = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 3
+        assert err == (
+            f"error: ValueError: Cay(SL(2, Z_{self.N})) requires more than "
+            f"{3 * self.N**3 // 5} vertices, over the budget of {cayley.DEFAULT_VERTEX_BUDGET}\n"
+        )
+        assert out == "" and list(tmp_path.iterdir()) == []
+
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -517,7 +553,7 @@ class TestRewire:
     def _write_dataset(self, tmp_path, sizes):
         graphs = []
         for i, n in enumerate(sizes):
-            g = gen_graph("ER", n, 50 + i, p=0.3)
+            g = gen_graph(n, 50 + i, p=0.3)
             (tmp_path / f"g{i}.edgelist").write_text(emit_edge_list(g))
             graphs.append({"name": f"g{i}", "graph": f"g{i}.edgelist"})
         manifest = tmp_path / "dataset.json"
@@ -664,6 +700,34 @@ class TestRewire:
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "g0.cayley.edgelist", "g0.input_extended.edgelist", "g0.json", "summary.json"
         ]
+
+    def test_an_input_extended_file_needs_allow_self_loops(self, capsys, tmp_path):
+        # CGP pads the 20-node graph to 24 nodes with flagged self-loops.
+        manifest = self._write_dataset(tmp_path, [20])
+        out_dir = tmp_path / "out"
+        run(["rewire", str(manifest), "--out-dir", str(out_dir)], capsys)
+        extended = out_dir / "g0.input_extended.edgelist"
+        lines = extended.read_text().splitlines()
+        # The same file without its "u u" lines: the node count and the edges.
+        kept = [line for line in lines if len(set(line.split())) == len(line.split())]
+        assert len(kept) == len(lines) - 4
+        plain = tmp_path / "plain.edgelist"
+        plain.write_text("".join(f"{line}\n" for line in kept))
+        code, _, err = run(["analyze", str(extended)], capsys)
+        assert code == 2 and "self-loop 20 not allowed" in err
+        reports = []
+        for argv in ([str(extended), "--allow-self-loops"], [str(plain)]):
+            out = tmp_path / "report.json"
+            code, _, _ = run(
+                ["analyze", *argv, "--out", str(out), "--manifest", str(tmp_path / "m.json")],
+                capsys,
+            )
+            assert code == 0
+            report = json.loads(out.read_text())
+            del report["source"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["node_count"] == 24 and reports[0]["isolated_count"] == 4
 
     def test_layers_past_the_cap_exit_3_before_any_work(self, tmp_path):
         # In a child of a child, so the grandchild's peak RSS is the CLI's
@@ -969,7 +1033,7 @@ class TestWithoutCacheDir:
         """Run each command, none with --cache-dir, in work; return the
         bytes of every output file but the timed ones."""
         work.mkdir()
-        g = gen_graph("BA", 20, 7, m=2)
+        g = gen_ba_graphs(20, 2, [7])[0]
         (work / "g.edgelist").write_text(emit_edge_list(g))
         (work / "dataset.json").write_text(
             json.dumps({"graphs": [{"name": "g", "graph": "g.edgelist"}]})

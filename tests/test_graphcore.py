@@ -10,6 +10,7 @@ from cayleyprop.graphcore import (
     UGraph,
     complete_graph,
     emit_edge_list,
+    gen_ba_graphs,
     gen_graph,
     parse_edge_list,
     star_graph,
@@ -90,7 +91,7 @@ class TestUGraph:
         assert layer_operator(g, "gin")[2, 2] == 1.0
 
     def test_canonical_edge_tuples_are_shared(self):
-        g = gen_graph("ER", 12, 5, p=0.4)
+        g = gen_graph(12, 5, p=0.4)
         h = UGraph(g.node_count, g.edges, [3])
         assert h == UGraph(g.node_count, [list(e) for e in g.edges], [3])
         assert all(a is b for a, b in zip(h.edges, g.edges))
@@ -206,56 +207,68 @@ class TestEdgeListFormat:
         assert emit_edge_list(g) == "6\n0 0\n0 5\n1 1\n1 2\n3 3\n3 4\n5 5\n"
 
 
+# The call that draws each kind of graph; the refusals are its own.
+DRAWS = {
+    "BA": lambda n, seed=0, *, m: gen_ba_graphs(n, m, [seed])[0],
+    "ER": gen_graph,
+    "Empty": UGraph,
+}
+
+
 class TestGenerators:
     def test_star_shape(self):
-        g = gen_graph("Star", 5)
+        g = star_graph(5)
         assert g.edge_count == 4
         assert all(0 in (u, v) for u, v in g.edges)
 
     def test_empty(self):
-        assert gen_graph("Empty", 7).edge_count == 0
+        g = UGraph(7)
+        assert g.node_count == 7 and g.edge_count == 0
 
     def test_er_deterministic_and_pinned(self):
-        g1 = gen_graph("ER", 20, 1234, p=0.5)
-        g2 = gen_graph("ER", 20, 1234, p=0.5)
+        g1 = gen_graph(20, 1234, p=0.5)
+        g2 = gen_graph(20, 1234, p=0.5)
         assert g1 == g2
         assert g1.edge_count == ER_20_HALF_SEED_1234_EDGES
         assert 0 <= g1.edge_count <= 190
 
     def test_er_p_bounds(self):
-        assert gen_graph("ER", 10, 0, p=0.0).edge_count == 0
-        assert gen_graph("ER", 10, 0, p=1.0).edge_count == 45
+        assert gen_graph(10, 0, p=0.0).edge_count == 0
+        assert gen_graph(10, 0, p=1.0).edge_count == 45
 
     def test_ba_degrees(self):
-        g = gen_graph("BA", 30, 7, m=2)
+        g = gen_ba_graphs(30, 2, [7])[0]
         assert is_connected(g)
         # every node past the core attaches with exactly m edges
         assert g.edge_count == 1 + 2 * 28
 
     def test_ba_single_attachment_is_a_tree(self):
         # the first draw sees node 0 with degree 0 and falls back to uniform
-        g = gen_graph("BA", 12, 4, m=1)
+        g = gen_ba_graphs(12, 1, [4])[0]
         assert g.edges[0] == (0, 1)
         assert g.edge_count == 11 and is_connected(g)
 
     def test_ba_deterministic(self):
-        assert gen_graph("BA", 25, 3, m=3) == gen_graph("BA", 25, 3, m=3)
+        assert gen_ba_graphs(25, 3, [3]) == gen_ba_graphs(25, 3, [3])
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            gen_graph("ER", 5, 0, p=1.5)
-        with pytest.raises(ValueError):
-            gen_graph("BA", 5, 0, m=0)
-        with pytest.raises(ValueError):
-            gen_graph("Lattice", 5, 0)
-        with pytest.raises(ValueError, match="node count must be >= 1, got 0"):
-            gen_graph("Empty", 0)
+        with pytest.raises(ValueError, match=r"ER requires p in \[0, 1\], got 1.5"):
+            gen_graph(5, 0, p=1.5)
+        with pytest.raises(ValueError, match="attachment count m must be >= 1, got 0"):
+            gen_ba_graphs(5, 0, [0])
+        with pytest.raises(ValueError, match="node_count must be >= 0, got -1"):
+            UGraph(-1)
+        # gen_graph draws ER graphs alone: it takes no m, and it needs p.
+        with pytest.raises(TypeError, match="'m'"):
+            gen_graph(5, 0, p=0.5, m=2)
+        with pytest.raises(TypeError, match="'p'"):
+            gen_graph(5, 0)
 
     def test_numpy_integers_convert(self):
-        g = gen_graph("BA", np.int64(20), np.int64(3), m=np.int64(2))
-        assert g == gen_graph("BA", 20, 3, m=2)
-        assert gen_graph("ER", np.int32(9), 1, p=np.float64(0.5)) == gen_graph(
-            "ER", 9, 1, p=0.5
+        g = gen_ba_graphs(np.int64(20), np.int64(2), [np.int64(3)])[0]
+        assert g == gen_ba_graphs(20, 2, [3])[0]
+        assert gen_graph(np.int32(9), np.int64(1), p=np.float64(0.5)) == gen_graph(
+            9, 1, p=0.5
         )
 
     @pytest.mark.parametrize(
@@ -269,20 +282,23 @@ class TestGenerators:
             ("ER", 10, {"p": 0.3, "seed": False}, "seed False is not an integer"),
             ("ER", 10, {"p": True}, r"ER requires p in \[0, 1\], got True"),
             ("ER", 10, {"p": "0.5"}, r"ER requires p in \[0, 1\], got '0.5'"),
-            ("Empty", 4.0, {}, "node count 4.0 is not an integer"),
+            ("Empty", 4.0, {}, "node_count 4.0 is not an integer"),
         ],
     )
     def test_bad_argument_types_are_value_errors(self, kind, n, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            gen_graph(kind, n, **kwargs)
+            DRAWS[kind](n, **kwargs)
 
 
 class TestBAMatchesChoiceOracle:
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 15])
     @pytest.mark.parametrize("n", [*range(1, 12), 20, 37, 100, 300])
     def test_graph_for_graph(self, n, m):
-        for seed in (0, 1, 7, 2**62 - 1):
-            assert gen_graph("BA", n, seed, m=m) == gen_ba_choice(n, m, seed)
+        # One lockstep call draws every seed; each graph is its seed's
+        # one-seed draw.
+        seeds = (0, 1, 7, 2**62 - 1)
+        for seed, g in zip(seeds, gen_ba_graphs(n, m, seeds), strict=True):
+            assert g == gen_ba_choice(n, m, seed)
 
     def test_sum_task_edge_lists_are_pinned(self):
         ds = gen_sum_task("BA", 1000, 0, test_size=200)
@@ -299,7 +315,7 @@ def test_sum_task_gnp_edge_lists_are_pinned():
 
 class TestRelabelAndUnion:
     def test_relabel_round_trip(self):
-        g = gen_graph("ER", 8, 5, p=0.4)
+        g = gen_graph(8, 5, p=0.4)
         perm = [3, 1, 0, 2, 7, 6, 5, 4]
         inverse = [perm.index(i) for i in range(8)]
         assert relabel_nodes(relabel_nodes(g, perm), inverse) == g
@@ -313,7 +329,7 @@ class TestRelabelAndUnion:
 
 class TestDPatterns:
     def test_depth_zero_is_labels(self):
-        g = gen_graph("ER", 6, 2, p=0.5)
+        g = gen_graph(6, 2, p=0.5)
         labels = [5, 5, 2, 5, 2, 1]
         assert d_patterns(g, labels, 0) == labels
 
@@ -331,7 +347,7 @@ class TestDPatterns:
     def test_refinement_monotone(self):
         rng = np.random.default_rng(11)
         for seed in range(5):
-            g = gen_graph("ER", 10, seed, p=0.3)
+            g = gen_graph(10, seed, p=0.3)
             labels = rng.integers(0, 2, 10).tolist()
             levels = d_pattern_levels(g, labels, 4)
             for shallow, deep in zip(levels, levels[1:]):

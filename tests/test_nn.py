@@ -10,7 +10,13 @@ import pytest
 
 from cayleyprop import cayley
 from cayleyprop.cayley import CayleyCache, smallest_modulus
-from cayleyprop.graphcore import DENSE_NODE_CAP, UGraph, gen_graph, star_graph
+from cayleyprop.graphcore import (
+    DENSE_NODE_CAP,
+    UGraph,
+    gen_ba_graphs,
+    gen_graph,
+    star_graph,
+)
 from cayleyprop import nn
 from cayleyprop.nn import (
     LAYER_KINDS,
@@ -108,7 +114,7 @@ class TestGinLayer:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(5)
         for seed, n in [(0, 5), (1, 5), (2, 12), (3, 30)]:
-            g = gen_graph("ER", n, seed, p=0.4)
+            g = gen_graph(n, seed, p=0.4)
             p = GINLayerParams(
                 eps=np.asarray(rng.standard_normal()),
                 w1=rng.standard_normal((3, 4)),
@@ -149,7 +155,7 @@ class TestGcnLayer:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
         for seed, n in [(40, 6), (41, 6), (42, 15), (43, 30)]:
-            g = gen_graph("ER", n, seed, p=0.4)
+            g = gen_graph(n, seed, p=0.4)
             p = GCNLayerParams(
                 w=rng.standard_normal((3, 3)), b=rng.standard_normal(3)
             )
@@ -168,7 +174,7 @@ class TestGcnLayer:
 
 class TestModelForward:
     def test_cgp_degenerate_equals_egp_bitwise(self, cache):
-        g = gen_graph("ER", 24, 9, p=0.3)
+        g = gen_graph(24, 9, p=0.3)
         rng = np.random.default_rng(0)
         params = init_params(rng, "gin", 4, 6, 2)
         x = rng.standard_normal((24, 4))
@@ -180,7 +186,7 @@ class TestModelForward:
         assert z1 == z2
 
     def test_virtual_rows_never_reach_prediction(self, cache):
-        g = gen_graph("ER", 20, 9, p=0.3)
+        g = gen_graph(20, 9, p=0.3)
         plan = build_plan(g, "CGP", 2, cache=cache)
         rng = np.random.default_rng(1)
         params = init_params(rng, "gin", 4, 6, 2)
@@ -194,7 +200,7 @@ class TestModelForward:
         # evaluate layer(layer(extended X, extended input graph), Cayley)
         # node by node with the loop oracle and compare whole-model output
         rng = np.random.default_rng(12)
-        g = gen_graph("ER", 20, 30, p=0.35)
+        g = gen_graph(20, 30, p=0.35)
         plan = build_plan(g, "CGP", 2, cache=cache)
         params = init_params(rng, "gin", 3, 5, 2)
         x = rng.standard_normal((20, 3))
@@ -209,7 +215,7 @@ class TestModelForward:
         assert z == pytest.approx(float(z_oracle), abs=1e-10)
 
     def test_param_plan_mismatch(self, cache):
-        g = gen_graph("ER", 10, 2, p=0.4)
+        g = gen_graph(10, 2, p=0.4)
         plan = build_plan(g, "Base", 2)
         params = init_params(np.random.default_rng(0), "gin", 4, 6, 3)
         with pytest.raises(ValueError):
@@ -217,7 +223,7 @@ class TestModelForward:
 
     def test_permutation_equivariance_base(self):
         rng = np.random.default_rng(7)
-        g = gen_graph("ER", 9, 21, p=0.5)
+        g = gen_graph(9, 21, p=0.5)
         perm = list(rng.permutation(9))
         params = init_params(rng, "gin", 3, 5, 2)
         x = rng.standard_normal((9, 3))
@@ -234,7 +240,7 @@ class TestModelForward:
         # permutation must carry the template graphs along; the prediction is
         # then invariant and the embeddings permute.
         rng = np.random.default_rng(8)
-        g = gen_graph("ER", 20, 22, p=0.4)
+        g = gen_graph(20, 22, p=0.4)
         params = init_params(rng, "gin", 3, 5, 2)
         x = rng.standard_normal((20, 3))
         plan = build_plan(g, "CGP", 2, cache=cache)
@@ -282,7 +288,7 @@ class TestLossAndGrads:
 
     def test_gradient_matches_finite_differences(self, cache):
         rng = np.random.default_rng(3)
-        g = gen_graph("ER", 6, 15, p=0.5)
+        g = gen_graph(6, 15, p=0.5)
         plan = build_plan(g, "CGP", 2, cache=cache)
         params = init_params(rng, "gin", 3, 4, 2)
         x = rng.standard_normal((6, 3))
@@ -306,7 +312,7 @@ class TestLossAndGrads:
 
     def test_virtual_feature_rows_get_zero_gradient_in_one_layer_cgp(self, cache):
         # a single input-extended layer never routes virtual rows to readout
-        g = gen_graph("ER", 20, 16, p=0.4)
+        g = gen_graph(20, 16, p=0.4)
         plan = build_plan(g, "CGP", 1, cache=cache)
         rng = np.random.default_rng(4)
         params = init_params(rng, "gin", 3, 4, 1)
@@ -363,7 +369,7 @@ class TestLossAndGrads:
         # The run shares one operator per (template, kind) across the batch;
         # the oracle builds every operator afresh per sample. Loss and every
         # gradient must agree bit for bit, on a cold and a warm run.
-        graphs = [gen_graph("BA", 20, seed, m=2) for seed in range(5)]
+        graphs = gen_ba_graphs(20, 2, range(5))
         plans = [build_plan(g, scheme, num_layers, cache=cache) for g in graphs]
         if scheme in ("CGP", "CGPLast", "CGPEvery"):
             assert len({id(p.cayley_template) for p in plans}) == 1
@@ -470,7 +476,7 @@ class TestStackedEngine:
         # 64 hidden) may take other BLAS kernels than small ones; there a
         # 22-node graph, which CGP pads to 24 nodes as it does the 20-node
         # ones, cuts a stack on the original count alone.
-        graphs = [gen_graph("BA", n, seed, m=2) for seed, n in enumerate(sizes)]
+        graphs = [gen_ba_graphs(n, 2, [seed])[0] for seed, n in enumerate(sizes)]
         plans = [build_plan(g, "CGP", 2, cache=cache) for g in graphs]
         assert len({p.extended_count for p in plans}) == 1
         rng = np.random.default_rng(31)
@@ -487,7 +493,7 @@ class TestStackedEngine:
         # 20- and 22-node graphs both pad to 24 Cayley nodes under CGP, and
         # 30-node graphs to 48; under Base every size change cuts a run.
         sizes = [20, 22, 20, 30, 30, 22, 20, 20, 30, 22, 22, 20]
-        graphs = [gen_graph("ER", n, seed, p=0.3) for seed, n in enumerate(sizes)]
+        graphs = [gen_graph(n, seed, p=0.3) for seed, n in enumerate(sizes)]
         plans = [build_plan(g, scheme, 2, cache=cache) for g in graphs]
         rng = np.random.default_rng(32)
         params = init_params(rng, kind, 4, 6, 2)
@@ -505,7 +511,7 @@ class TestStackedEngine:
     @pytest.mark.parametrize("kind", LAYER_KINDS)
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_model_forward_matches_oracle(self, cache, scheme, kind):
-        g = gen_graph("ER", 22, 17, p=0.3)
+        g = gen_graph(22, 17, p=0.3)
         plan = build_plan(g, scheme, 3, cache=cache)
         rng = np.random.default_rng(33)
         params = init_params(rng, kind, 5, 7, 3)
@@ -972,10 +978,10 @@ class TestTrain:
         builder = scheme_plan_builder("CGP", 2)
         # 3..6 nodes pad to Cay(SL(2, Z_2)), 7..24 to n = 3, 30 to n = 4.
         for v in (3, 5, 6, 7, 20, 24, 30, 20, 5):
-            assert builder(gen_graph("ER", v, 0, p=0.5)).modulus == smallest_modulus(v)
+            assert builder(gen_graph(v, 0, p=0.5)).modulus == smallest_modulus(v)
         assert built == [2, 3, 4]
         # Each builder holds its own memory cache.
-        scheme_plan_builder("CGP", 2)(gen_graph("ER", 20, 0, p=0.5))
+        scheme_plan_builder("CGP", 2)(gen_graph(20, 0, p=0.5))
         assert built == [2, 3, 4, 3]
 
     # SHA-256 of the CSVs below, concatenated, recorded with the per-sample

@@ -19,7 +19,7 @@ import cayleyprop
 from cayleyprop import BLAS_THREAD_VARS
 from cayleyprop.cayley import CayleyCache
 from cayleyprop.cli import main
-from cayleyprop.graphcore import emit_edge_list, gen_graph
+from cayleyprop.graphcore import emit_edge_list, gen_ba_graphs
 
 # SHA-256 of emit_edge_list(Cay(SL(2, Z_n))) for n = 2..30, concatenated.
 EDGE_LISTS_SHA256 = "0edb61345d74698f03058b1dbd61e1cbca394618279c784c7db9014793253b3a"
@@ -72,7 +72,7 @@ def rewire_digest(tmp_path: Path, scheme: str) -> str:
     graphs = []
     for i, (n, m, seed) in enumerate(REWIRE_GRAPHS):
         name = f"ba{i}"
-        (tmp_path / f"{name}.edgelist").write_text(emit_edge_list(gen_graph("BA", n, seed, m=m)))
+        (tmp_path / f"{name}.edgelist").write_text(emit_edge_list(gen_ba_graphs(n, m, [seed])[0]))
         graphs.append({"name": name, "graph": f"{name}.edgelist"})
     dataset = tmp_path / "dataset.json"
     dataset.write_text(json.dumps({"graphs": graphs}))

@@ -8,7 +8,7 @@ import pytest
 
 from cayleyprop import propagation
 from cayleyprop.cayley import CayleyCache, write_atomic
-from cayleyprop.graphcore import UGraph, gen_graph, parse_edge_list
+from cayleyprop.graphcore import UGraph, gen_ba_graphs, gen_graph, parse_edge_list
 from cayleyprop.modgroup import sl2_order
 from cayleyprop.propagation import (
     MAX_LAYERS,
@@ -56,13 +56,13 @@ class TestExtendAdjacency:
         assert ext.self_loops == frozenset({2, 3})
 
     def test_shares_its_input_edge_tuples(self):
-        g = gen_graph("BA", 20, 6, m=2)
+        g = gen_ba_graphs(20, 2, [6])[0]
         ext = extend_input_adjacency(g, 24)
         assert ext.edges == g.edges
         assert all(a is b for a, b in zip(ext.edges, g.edges))
 
     def test_original_degrees_unchanged(self):
-        g = gen_graph("ER", 10, 3, p=0.5)
+        g = gen_graph(10, 3, p=0.5)
         ext = extend_input_adjacency(g, 24)
         assert ext.degrees()[:10] == g.degrees()
         assert all(len(ext.adj[u]) == 0 for u in range(10, 24))
@@ -83,14 +83,14 @@ class TestMasterNode:
 
 class TestBuildPlan:
     def test_cgp_exact_fit(self, cache):
-        g = gen_graph("ER", 24, 0, p=0.3)
+        g = gen_graph(24, 0, p=0.3)
         plan = build_plan(g, "CGP", 3, cache=cache)
         assert plan.extended_count == 24
         assert plan.virtual_count == 0
         assert plan.layer_kinds == ("input_extended", "cayley", "input_extended")
 
     def test_cgp_padding(self, cache):
-        g = gen_graph("ER", 20, 0, p=0.3)
+        g = gen_graph(20, 0, p=0.3)
         plan = build_plan(g, "CGP", 2, cache=cache)
         assert plan.modulus == 3
         assert plan.extended_count == sl2_order(3) == 24
@@ -98,7 +98,7 @@ class TestBuildPlan:
         assert plan.virtual_range == (20, 24)
 
     def test_egp_truncates(self, cache):
-        g = gen_graph("ER", 20, 0, p=0.3)
+        g = gen_graph(20, 0, p=0.3)
         plan = build_plan(g, "EGP", 4, cache=cache)
         assert plan.extended_count == 20
         assert plan.layer_kinds == ("input", "cayley", "input", "cayley")
@@ -131,7 +131,7 @@ class TestBuildPlan:
         # One graph object, so a stack of FALast samples gets one broadcast
         # operator; it lives as long as a plan that uses it, and no longer.
         first = build_plan(UGraph(7, [(0, 1)]), "FALast", 2)
-        second = build_plan(gen_graph("ER", 7, 3, p=0.5), "FALast", 3)
+        second = build_plan(gen_graph(7, 3, p=0.5), "FALast", 3)
         fa = first.layer_graphs[-1]
         assert second.layer_graphs[-1] is fa
         assert fa == UGraph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
@@ -142,7 +142,7 @@ class TestBuildPlan:
         assert alive() is None
 
     def test_cgp_last_and_every(self, cache):
-        g = gen_graph("ER", 20, 1, p=0.3)
+        g = gen_graph(20, 1, p=0.3)
         last = build_plan(g, "CGPLast", 3, cache=cache)
         assert last.layer_kinds == ("input_extended", "input_extended", "cayley")
         every = build_plan(g, "CGPEvery", 3, cache=cache)
@@ -150,14 +150,14 @@ class TestBuildPlan:
         assert every.extended_count == 24
 
     def test_cgp_degenerates_to_egp(self, cache):
-        g = gen_graph("ER", 24, 2, p=0.3)
+        g = gen_graph(24, 2, p=0.3)
         cgp = build_plan(g, "CGP", 4, cache=cache)
         egp = build_plan(g, "EGP", 4, cache=cache)
         assert cgp.layer_graphs == egp.layer_graphs
         assert cgp.extended_count == egp.extended_count
 
     def test_all_layer_graphs_sized_to_extended_count(self, cache):
-        g = gen_graph("ER", 11, 4, p=0.4)
+        g = gen_graph(11, 4, p=0.4)
         for scheme in SCHEMES:
             plan = build_plan(g, scheme, 3, cache=cache)
             for lg in plan.layer_graphs:
@@ -190,7 +190,7 @@ class TestBuildPlan:
 
 class TestExport:
     def test_files_and_manifest(self, cache, tmp_path):
-        g = gen_graph("ER", 20, 5, p=0.3)
+        g = gen_graph(20, 5, p=0.3)
         plan = build_plan(g, "CGP", 2, cache=cache)
         manifest = export_plan(plan, tmp_path, "g0")
         assert manifest["virtual_node_range"] == [20, 24]
@@ -212,13 +212,13 @@ class TestExport:
             write_atomic(path, text)
 
         monkeypatch.setattr(propagation, "write_atomic", recording)
-        plan = build_plan(gen_graph("ER", 10, 6, p=0.4), "CGP", 2, cache=cache)
+        plan = build_plan(gen_graph(10, 6, p=0.4), "CGP", 2, cache=cache)
         export_plan(plan, tmp_path / "new" / "dir", "g3")
         assert written == ["g3.input_extended.edgelist", "g3.cayley.edgelist", "g3.json"]
         assert sorted(p.name for p in (tmp_path / "new" / "dir").iterdir()) == sorted(written)
 
     def test_cgp_every_still_exports_input(self, cache, tmp_path):
-        g = gen_graph("ER", 10, 6, p=0.4)
+        g = gen_graph(10, 6, p=0.4)
         plan = build_plan(g, "CGPEvery", 2, cache=cache)
         manifest = export_plan(plan, tmp_path, "g1")
         assert (tmp_path / "g1.input_extended.edgelist").is_file()

@@ -64,25 +64,16 @@ DETERMINISTIC = settings(
 )
 
 
-@DETERMINISTIC
-@given(
-    n=st.integers(1, 60),
-    m=st.integers(1, 20),
-    seed=st.integers(0, 2**64 - 1),
-)
-def test_ba_generator_matches_choice_oracle(n, m, seed):
-    assert gen_graph("BA", n, seed, m=m) == gen_ba_choice(n, m, seed)
-
-
 # Seed lists of every length from empty up, with repeated seeds among them.
 SEED_LISTS = st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 3), max_size=6)
 
 
 @DETERMINISTIC
-@given(n=st.integers(1, 40), m=st.integers(1, 8), seeds=SEED_LISTS)
+@given(n=st.integers(1, 60), m=st.integers(1, 20), seeds=SEED_LISTS)
 def test_ba_graphs_match_choice_oracle_seed_by_seed(n, m, seeds):
     # Graph k is the one-seed draw of seeds[k]: it does not depend on the
-    # other graphs of its batch.
+    # other graphs of its batch. One-seed lists check the lone draw,
+    # gen_ba_graphs(n, m, [seed])[0].
     graphs = gen_ba_graphs(n, m, seeds)
     assert len(graphs) == len(seeds)
     for seed, g in zip(seeds, graphs):
@@ -203,11 +194,8 @@ def init_params_with(**dims):
 
 INT_ARGUMENTS = {
     "UGraph-node_count": ("node_count", 0, 30, UGraph),
-    "gen_graph-n": ("node count", 1, 30, lambda x: gen_graph("BA", x, 3, m=2)),
-    "gen_graph-m": (
-        "attachment count m", 1, 30, lambda x: gen_graph("BA", 12, 3, m=x)
-    ),
-    "gen_graph-seed": ("seed", 0, SEED_MAX, lambda x: gen_graph("ER", 12, x, p=0.3)),
+    "gen_graph-n": ("node count", 1, 30, lambda x: gen_graph(x, 3, p=0.3)),
+    "gen_graph-seed": ("seed", 0, SEED_MAX, lambda x: gen_graph(12, x, p=0.3)),
     "gen_ba_graphs-n": ("node count", 1, 30, lambda x: gen_ba_graphs(x, 2, [1, 2])),
     "gen_ba_graphs-m": (
         "attachment count m", 1, 30, lambda x: gen_ba_graphs(12, x, [1])
@@ -372,7 +360,7 @@ def test_stacked_engine_matches_the_per_sample_oracle(
     # sample, as eps and readout.b always do: numpy sums such a stack
     # pairwise unless it is added sample by sample.
     rng = np.random.default_rng(seed)
-    graphs = [gen_graph("BA", n, k, m=2) for k, n in enumerate(sizes)]
+    graphs = [gen_ba_graphs(n, 2, [k])[0] for k, n in enumerate(sizes)]
     plans = [build_plan(g, scheme, depth, cache=CAYLEY_GRAPHS) for g in graphs]
     params = nn.init_params(rng, kind, in_dim, hidden, depth)
     batch = [(rng.standard_normal((n, in_dim)), float(rng.random() < 0.5)) for n in sizes]

@@ -1,14 +1,18 @@
+import gc
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cayleyprop import spectral
+from cayleyprop import BLAS_THREAD_VARS, spectral
 from cayleyprop.cayley import CayleyCache, build_cayley
 from cayleyprop.graphcore import (
     DENSE_NODE_CAP,
@@ -48,7 +52,7 @@ CAYLEY3_NORMALIZED_GAP = (3.0 - math.sqrt(3.0)) / 4.0
 
 def random_connected(n, seed, p=0.4):
     for s in range(seed, seed + 100):
-        g = gen_graph("ER", n, s, p=p)
+        g = gen_graph(n, s, p=p)
         if is_connected(g):
             return g
     raise AssertionError("no connected sample found")
@@ -153,7 +157,7 @@ class TestAnalyze:
         # isolated vertices count as their own component; their zeroed rows
         # contribute one zero eigenvalue each
         for seed in range(6):
-            g = gen_graph("ER", 12, seed, p=0.25)
+            g = gen_graph(12, seed, p=0.25)
             lam = np.array(analyze(g).eigenvalues)
             assert lam.min() >= -1e-9
             assert lam.max() <= 2.0 + 1e-9
@@ -315,6 +319,75 @@ class TestConcurrentAnalyze:
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(status[1]) == 0
 
+    @pytest.mark.parametrize("fault", [False, True], ids=["returned", "raised"])
+    def test_an_idle_worker_holds_no_graph(self, fault, monkeypatch):
+        # The worker drops each job once it has answered: after analyze
+        # returns or raises, neither the graph nor its Laplacian is held.
+        if fault:
+
+            def diameter(g):
+                raise WorkerFault("diameter")  # fresh, so no test holds it
+
+            monkeypatch.setattr(spectral, "diameter_bfs", diameter)
+        g = induced_prefix_subgraph(build_cayley(4).graph, 30)
+        alive = weakref.ref(g)
+        if fault:
+            with pytest.raises(WorkerFault):
+                analyze(g)
+        else:
+            analyze(g)
+        del g
+        deadline = time.monotonic() + 1.0
+        # The raised error's traceback and frames form a cycle, freed by gc.
+        while alive() is not None and time.monotonic() < deadline:
+            gc.collect()
+            time.sleep(0.01)
+        assert alive() is None
+
+    @staticmethod
+    def run_script(script: str) -> str:
+        """Run script in a fresh interpreter on one BLAS thread; its stdout.
+        It must exit 0 and print nothing to stderr."""
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        return done.stdout
+
+    # A concurrent.futures executor takes no new work once the interpreter
+    # has begun to shut down; the worker thread serves these two callers.
+    def test_a_thread_that_outlives_the_main_thread_is_served(self):
+        script = (
+            "import threading\n"
+            "from cayleyprop.spectral import expansion_sweep, sweep_to_csv\n"
+            "def late():\n"
+            "    threading.main_thread().join()\n"
+            "    print(sweep_to_csv(expansion_sweep(6, 200)), end='')\n"
+            "threading.Thread(target=late).start()\n"
+        )
+        assert self.run_script(script) == sweep_to_csv(expansion_sweep(6, 200))
+
+    def test_an_atexit_handler_is_served(self):
+        # The worker is started before the exit: from 3.12 on no thread may
+        # start once the interpreter is finalizing.
+        script = (
+            "import atexit\n"
+            "from cayleyprop.cayley import build_cayley\n"
+            "from cayleyprop.graphcore import induced_prefix_subgraph\n"
+            "from cayleyprop.spectral import analyze\n"
+            "g = induced_prefix_subgraph(build_cayley(4).graph, 30)\n"
+            "first = analyze(g)\n"
+            "atexit.register(lambda: print(analyze(g) == first))\n"
+        )
+        assert self.run_script(script) == "True\n"
+
 
 class TestEigenvalueOnlyLaplacianSolve:
     """eig_sym solves a combinatorial Laplacian without eigenvectors; the
@@ -470,7 +543,7 @@ class TestDiameterOracle:
         found = []
         for seed in range(30):
             for n, p in ((12, 0.15), (30, 0.1), (60, 0.06), (20, 0.5), (60, 0.5)):
-                g = gen_graph("ER", n, seed, p=p)
+                g = gen_graph(n, seed, p=p)
                 d = diameter_bfs(g)
                 assert d == diameter_per_source(g), (n, seed)
                 found.append(d is not None)
